@@ -13,8 +13,7 @@ use dbaugur_exec::Deadline;
 use dbaugur_lifecycle::{LifecycleConfig, LifecycleManager};
 use dbaugur_serve::{run_soak, SoakConfig};
 use dbaugur_shard::{
-    run_pressure_soak, run_shard_soak, BreakerState, KillKind, PressureSoakConfig,
-    RebalanceConfig, ShardSoakConfig, ShardState, ShardedDurable,
+    run_shard_soak, BreakerState, KillKind, ShardSoakConfig, ShardState, ShardedDurable,
 };
 use dbaugur_sim::CanaryBug;
 use dbaugur_sqlproc::TemplateRegistry;
@@ -446,19 +445,12 @@ pub fn lifecycle(args: &Args) -> CmdResult {
 pub fn soak(args: &Args) -> CmdResult {
     args.check_flags(&[
         "seed", "ticks", "base", "burst-every", "burst-mult", "forecasts", "budget", "deadline",
-        "shards", "kill-shard", "kill-at", "kill-kind", "workers", "quota", "mem-budget",
-        "templates", "ingest", "enospc-at", "eio-at", "spill-fault-at", "rebalance",
+        "shards", "kill-shard", "kill-at", "kill-kind", "workers", "quota",
     ])?;
     // `--shards N` (N > 0) switches to the sharded kill-matrix soak:
-    // bulkhead isolation under an injected one-shard fault. Adding
-    // `--mem-budget BYTES` switches again, to the global
-    // memory-pressure drill: budget arbiter + degradation ladder +
-    // storage-fault injection.
+    // bulkhead isolation under an injected one-shard fault.
     let shards: usize = args.flag_num("shards", 0)?;
     if shards > 0 {
-        if args.flag("mem-budget").is_some() {
-            return pressure_soak(args, shards);
-        }
         return shard_soak(args, shards);
     }
     let mut cfg = SoakConfig {
@@ -646,118 +638,6 @@ fn shard_soak(args: &Args, shards: usize) -> CmdResult {
     }
 }
 
-/// The memory-pressure arm of `soak` (`--shards N --mem-budget BYTES`):
-/// flood a sharded store past a hard global byte ceiling while seeded
-/// ENOSPC/EIO bursts hit the WAL, the spill path, and in-flight
-/// migrations, then hold the defense promises — the ceiling is never
-/// exceeded after enforcement, intake books reconcile per shard and
-/// globally, and no acknowledged observation is lost.
-///
-/// Drill flags: `--enospc-at t1,t2` / `--eio-at ...` arm front-door
-/// bursts at those ticks, `--spill-fault-at ...` arms ENOSPC between
-/// intake and the eviction/spill pass (full-disk drill), and
-/// `--rebalance off` disables the heat-driven auto-rebalance.
-fn pressure_soak(args: &Args, shards: usize) -> CmdResult {
-    let ticks_at = |flag: &str| -> Result<Vec<u64>, String> {
-        match args.flag(flag) {
-            None => Ok(Vec::new()),
-            Some(v) => v
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| s.parse::<u64>().map_err(|_| format!("--{flag} {v:?}: bad tick {s:?}")))
-                .collect(),
-        }
-    };
-    let rebalance = match args.flag("rebalance").unwrap_or("on") {
-        "on" => Some(RebalanceConfig::default()),
-        "off" => None,
-        other => return Err(format!("--rebalance {other:?} (on|off)").into()),
-    };
-    let defaults = PressureSoakConfig::default();
-    let cfg = PressureSoakConfig {
-        shards,
-        seed: args.flag_num("seed", defaults.seed)?,
-        ticks: args.flag_num("ticks", 40)?,
-        templates: args.flag_num("templates", 20_000)?,
-        ingest_per_tick: args.flag_num("ingest", 10_000)?,
-        global_budget_bytes: args.flag_num("mem-budget", defaults.global_budget_bytes)?,
-        min_grant_bytes: (args.flag_num::<usize>("mem-budget", defaults.global_budget_bytes)?
-            / (4 * shards))
-            .max(1),
-        rebalance,
-        enospc_ticks: ticks_at("enospc-at")?,
-        eio_ticks: ticks_at("eio-at")?,
-        spill_fault_ticks: ticks_at("spill-fault-at")?,
-        ..defaults
-    };
-    cfg.validate().map_err(|e| format!("pressure soak config: {e}"))?;
-    println!(
-        "pressure soak: seed {:#x}, {} shards, {} ticks, {} templates, budget {} bytes",
-        cfg.seed, cfg.shards, cfg.ticks, cfg.templates, cfg.global_budget_bytes
-    );
-    let r = run_pressure_soak(&cfg);
-    println!(
-        "intake:    {} offered / {} acked, shed {} (pressure) + {} (breaker) + {} (io)",
-        r.offered, r.acked, r.shed_pressure, r.shed_breaker, r.shed_io
-    );
-    println!(
-        "ceiling:   peak {} vs budget {} ({} breaches), {} regrants reclaimed {} bytes",
-        r.resident_peak,
-        cfg.global_budget_bytes,
-        r.ceiling_breaches,
-        r.arbiter.regrants,
-        r.arbiter.reclaimed_bytes
-    );
-    println!(
-        "ladder:    {} obs spilled to {} files ({} writes bounced, {} pending at end), {} sheds engaged, {} quarantines",
-        r.spilled_observations,
-        r.spill_files,
-        r.spill_write_failures,
-        r.pending_spills_final,
-        r.arbiter.pressure_sheds_engaged,
-        r.quarantines
-    );
-    println!(
-        "faults:    {} injected ({} ENOSPC + {} EIO)",
-        r.faults_injected, r.enospc_injected, r.eio_injected
-    );
-    println!(
-        "rebalance: {} migrations moved {} obs ({} failed mid-flight and resumed, {} refused), heat max/mean tail {:.3}",
-        r.migrations_completed,
-        r.migration_observations,
-        r.migrations_failed,
-        r.migrations_refused,
-        r.heat_ratio_tail
-    );
-    println!(
-        "loss:      {} acked = {} resident + {} spilled + {} dropped-by-cap ({} lost)",
-        r.acked,
-        r.resident_observations,
-        r.spilled_observations,
-        r.dropped_by_cap,
-        r.lost_observations
-    );
-    let mut failures: Vec<String> = Vec::new();
-    if r.ceiling_breaches > 0 {
-        failures.push(format!("{} post-enforcement ceiling breaches", r.ceiling_breaches));
-    }
-    if !r.books_ok {
-        failures.push("intake books do not reconcile".into());
-    }
-    if r.lost_observations > 0 {
-        failures.push(format!("{} acked observations lost", r.lost_observations));
-    }
-    if r.pending_spills_final > 0 {
-        failures.push(format!("{} spill blobs still pending at settle", r.pending_spills_final));
-    }
-    if failures.is_empty() {
-        println!("pressure soak: PASS (ceiling held, books reconcile, nothing acked was lost)");
-        Ok(())
-    } else {
-        Err(format!("pressure soak: FAIL ({})", failures.join("; ")).into())
-    }
-}
-
 /// `shards <state-dir>` — per-shard fault-domain status: snapshot
 /// lineage, resident footprint, WAL size, durability counters, and the
 /// health/breaker state the supervisor would derive from the recovery
@@ -913,6 +793,20 @@ fn print_sim_report(run: &dbaugur_sim::SimReport) {
         "spilled obs {} (write failures {}) | quarantines {} recoveries {} | digest {:016x}",
         run.spilled_observations, run.spill_write_failures, run.quarantines, run.recoveries,
         run.digest
+    );
+    // An unlimited-budget world has no arbiter: its ladder counters read 0.
+    let a = run.arbiter.unwrap_or_default();
+    println!(
+        "ceiling peak {} B ({} breaches, {} exhausted ticks) | sheds engaged {} regrants {} | ENOSPC/EIO {}/{} | pending spills {} | heat max/mean tail {:.3}",
+        run.resident_peak,
+        a.ceiling_breaches,
+        a.exhausted_ticks,
+        a.pressure_sheds_engaged,
+        a.regrants,
+        run.enospc_injected,
+        run.eio_injected,
+        run.pending_spills_final,
+        run.heat_ratio_tail
     );
     for v in &run.violations {
         println!("VIOLATION {v}");

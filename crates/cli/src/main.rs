@@ -13,7 +13,6 @@
 //! dbaugur lifecycle <dir> [--ticks N]           drift-triggered retrain/shadow/promote loop
 //! dbaugur soak [--ticks N] [--seed S]           chaos/soak the serving governor
 //! dbaugur soak --shards N [--kill-shard I]      sharded kill-matrix soak (bulkheads)
-//! dbaugur soak --shards N --mem-budget BYTES    global memory-pressure drill
 //! dbaugur shards <dir>                          per-shard health, lineage, bytes
 //! dbaugur sim run <plan>                        deterministic full-system simulation
 //! dbaugur sim shrink <plan>                     minimize a failing fault schedule
@@ -60,18 +59,13 @@ commands:
              the bulkhead promises (siblings byte-identical to the
              fault-free run, bounded recovery, availability above gate);
              exits non-zero when any promise breaks
-  soak --shards N --mem-budget BYTES [--templates T] [--ingest R]
-       [--enospc-at t1,t2] [--eio-at t1,t2] [--spill-fault-at t1,t2]
-       [--rebalance on|off] [--ticks N] [--seed S]
-             global memory-pressure drill: flood past a hard global byte
-             ceiling while seeded ENOSPC/EIO bursts hit the WAL, spill,
-             and migration paths; exits non-zero if the ceiling is ever
-             exceeded after enforcement, the intake books fail to
-             reconcile, or any acknowledged observation is lost
   sim run <plan.plan> [--canary coarse-import|whole-drain]
              execute one deterministic fault schedule against the full
              sharded pipeline on a virtual timeline; every invariant is
-             checked after every tick; exits non-zero on any violation
+             checked after every tick; exits non-zero on any violation.
+             The memory-pressure drills are checked-in plans, e.g.
+             tests/plans/pressure_ci.plan: a flood past a hard global byte
+             ceiling with ENOSPC/EIO on the WAL, spill and migration paths
   sim replay <plan.plan> [--canary ...]
              run the plan twice and require byte-identical digests —
              the determinism contract, checked end to end

@@ -49,6 +49,7 @@ pub mod durable;
 pub mod pipeline;
 pub mod retry;
 pub mod snapshot;
+mod sync;
 pub mod vfs;
 pub mod wal;
 

@@ -26,6 +26,7 @@
 
 use crate::config::DbAugurConfig;
 use crate::drift::{DriftMonitor, DriftState};
+use crate::sync::RwLock;
 use dbaugur_cluster::{
     select_top_k_dba_exec, select_top_k_exec, ClusterSummary, Clustering, Descender,
 };
@@ -37,7 +38,6 @@ use dbaugur_models::{
 };
 use dbaugur_sqlproc::{parse_log_stream, TemplateRegistry};
 use dbaugur_trace::{fill_gaps, Trace, WindowSpec};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -28,12 +28,12 @@ use crate::config::DbAugurConfig;
 use crate::drift::DriftMonitor;
 use crate::vfs::{real_vfs, DynVfs};
 use crate::pipeline::{fallback_season, make_ensemble, ClusterStatus, DbAugur, TrainedCluster};
+use crate::sync::RwLock;
 use dbaugur_cluster::ClusterSummary;
 use dbaugur_models::{EnsembleSnapshot, Forecaster, SeasonalNaive, TimeSensitiveEnsemble};
 use dbaugur_sqlproc::TemplateRegistry;
 use dbaugur_trace::wire::{crc32, WireError, WireReader, WireWriter};
 use dbaugur_trace::WindowSpec;
-use parking_lot::RwLock;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -116,7 +116,8 @@ pub struct ArbiterStats {
     /// Bytes moved by the spill rung (cumulative).
     pub ladder_spilled_bytes: u64,
     /// Ticks the total stayed over the hard ceiling *after* the full
-    /// ladder ran. The soak gates on this being zero.
+    /// ladder ran. The pinned DetSim pressure plans gate on this being
+    /// zero whenever the budget clears the template-string floor.
     pub ceiling_breaches: u64,
     /// Largest post-enforcement total ever observed (bytes).
     pub max_total_resident: u64,

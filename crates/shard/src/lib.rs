@@ -31,7 +31,6 @@ pub mod arbiter;
 pub mod durable;
 pub mod health;
 pub mod heat;
-pub mod pressure;
 pub mod route;
 pub mod soak;
 pub mod supervisor;
@@ -42,7 +41,6 @@ pub use health::{BreakerState, HealthPolicy, ShardHealth, ShardState};
 pub use heat::{
     HeatConfig, HeatTracker, RebalanceConfig, RebalancePlan, RebalancePolicy, RebalanceStats,
 };
-pub use pressure::{run_pressure_soak, PressureSoakConfig, PressureSoakReport};
 pub use route::{shard_of, TenantQuotas};
 pub use soak::{
     run_shard_soak, KillKind, OutageWindow, ShardSoakConfig, ShardSoakReport,

@@ -21,6 +21,7 @@
 //! ```
 
 use dbaugur::FaultKind;
+use dbaugur_shard::ArbiterConfig;
 
 /// Magic first line of the `.plan` text format.
 pub const PLAN_HEADER: &str = "DBAUGUR-PLAN v1";
@@ -179,9 +180,17 @@ pub struct SimPlan {
     /// the unflushed suffix — which the books then ledger as typed
     /// sheds, never as silent loss.
     pub group_commit: usize,
+    /// Consecutive over-budget ticks before the arbiter's quarantine
+    /// rung takes the worst offender out of rotation. The default sits
+    /// beyond any plan's length, so only a plan that names a small
+    /// value reaches the rung.
+    pub quarantine_after: u32,
     /// The fault schedule.
     pub events: Vec<FaultEvent>,
 }
+
+/// `quarantine-after` when a plan does not name one.
+const DEFAULT_QUARANTINE_AFTER: u32 = 1_000;
 
 impl Default for SimPlan {
     fn default() -> Self {
@@ -199,12 +208,25 @@ impl Default for SimPlan {
             tick_ms: 100,
             maintenance_ms: 20,
             group_commit: 0,
+            quarantine_after: DEFAULT_QUARANTINE_AFTER,
             events: Vec::new(),
         }
     }
 }
 
 impl SimPlan {
+    /// The arbiter a budgeted world runs under (`None` in an
+    /// unlimited-budget world).
+    pub(crate) fn arbiter_config(&self) -> Option<ArbiterConfig> {
+        (self.budget_bytes > 0).then_some(ArbiterConfig {
+            global_budget_bytes: self.budget_bytes,
+            min_grant_bytes: self.min_grant_bytes,
+            alpha: 0.3,
+            shed_after: 2,
+            quarantine_after: self.quarantine_after,
+        })
+    }
+
     /// Validate shape invariants the world relies on.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards < 2 {
@@ -221,6 +243,9 @@ impl SimPlan {
         }
         if self.tick_ms == 0 {
             return Err("plan: tick_ms must be positive".into());
+        }
+        if let Some(arbiter) = self.arbiter_config() {
+            arbiter.validate(self.shards)?;
         }
         for e in &self.events {
             if e.tick >= self.ticks {
@@ -267,6 +292,10 @@ impl SimPlan {
         // (the encode-fixpoint gate runs over the pinned swarm stream).
         if plan.group_commit > 0 {
             out.push_str(&format!("group-commit {}\n", plan.group_commit));
+        }
+        // Omitted at the default for the same reason.
+        if plan.quarantine_after != DEFAULT_QUARANTINE_AFTER {
+            out.push_str(&format!("quarantine-after {}\n", plan.quarantine_after));
         }
         for e in &plan.events {
             out.push_str(&format!("event {} {}\n", e.tick, encode_event(e)));
@@ -317,6 +346,10 @@ impl SimPlan {
                 "tick-ms" => plan.tick_ms = one("tick-ms")?,
                 "maintenance-ms" => plan.maintenance_ms = one("maintenance-ms")?,
                 "group-commit" => plan.group_commit = one("group-commit")? as usize,
+                "quarantine-after" => {
+                    plan.quarantine_after = u32::try_from(one("quarantine-after")?)
+                        .map_err(|_| format!("plan: quarantine-after out of range in {line:?}"))?
+                }
                 "event" => {
                     let tick = rest
                         .first()
@@ -438,6 +471,7 @@ mod tests {
                 FaultEvent { tick: 22, kind: EventKind::ShortWrite { ops: 2 } },
             ],
             group_commit: 6,
+            quarantine_after: 4,
             ..SimPlan::default()
         }
     }
@@ -462,6 +496,19 @@ mod tests {
         assert!(SimPlan::parse("not a plan").is_err());
         let bad = text.replace("event 3 enospc 4", "event 3 frobnicate 4");
         assert!(SimPlan::parse(&bad).is_err());
+        let unknown_key = text.replace("quarantine-after 4", "quarantine-before 4");
+        assert!(SimPlan::parse(&unknown_key).unwrap_err().contains("unknown key"));
+    }
+
+    #[test]
+    fn quarantine_after_stays_out_of_the_encoding_at_its_default() {
+        // Plans written before the key existed must re-encode verbatim
+        // (tests/sim_determinism.rs pins the files and the fixpoint).
+        for idx in 0..24 {
+            let text = crate::swarm::generate_plan(0xD5_5EED, idx).encode();
+            assert!(!text.contains("quarantine-after"), "schedule {idx}: {text}");
+        }
+        assert!(busy_plan().encode().contains("\nquarantine-after 4\n"));
     }
 
     #[test]
@@ -472,5 +519,21 @@ mod tests {
         plan.events.clear();
         plan.events.push(FaultEvent { tick: 1, kind: EventKind::ShardPanic { shard: 9 } });
         assert!(plan.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_an_unsatisfiable_arbiter() {
+        // Outside input must get the arbiter's typed message, not its
+        // constructor's panic.
+        let floors_exceed_budget =
+            format!("{PLAN_HEADER}\nshards 4\nbudget-bytes 65536\nmin-grant-bytes 40960\nend\n");
+        let err = SimPlan::parse(&floors_exceed_budget).unwrap_err();
+        assert!(err.contains("4 shards x 40960 B min grant exceeds"), "{err}");
+        // The quarantine rung cannot come before the shed rung (2).
+        let plan = SimPlan { quarantine_after: 1, ..SimPlan::default() };
+        assert!(plan.validate().is_err());
+        // An unlimited-budget world has no arbiter to misconfigure.
+        let plan = SimPlan { budget_bytes: 0, quarantine_after: 1, ..SimPlan::default() };
+        assert!(plan.validate().is_ok());
     }
 }

@@ -158,6 +158,7 @@ pub fn generate_plan(seed: u64, idx: u64) -> SimPlan {
         maintenance_ms: 20,
         group_commit: 0,
         events: Vec::new(),
+        ..SimPlan::default()
     };
 
     if idx % 16 == 7 {

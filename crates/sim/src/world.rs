@@ -26,7 +26,7 @@ use dbaugur::{
 };
 use dbaugur_exec::{Clock, Deadline, VirtualClock};
 use dbaugur_shard::{
-    ArbiterConfig, BreakerState, BudgetArbiter, CanaryBug, Escalation, HealthPolicy, HeatConfig,
+    ArbiterStats, BreakerState, BudgetArbiter, CanaryBug, Escalation, HealthPolicy, HeatConfig,
     HeatTracker, MigrateError, RebalanceConfig, RebalancePolicy, ShardDemand, ShardHealth,
     ShardState, ShardedDurable,
 };
@@ -88,10 +88,23 @@ pub struct SimReport {
     pub resume_failures: u64,
     /// Faults injected across all kinds.
     pub faults_injected: u64,
+    /// ENOSPC faults injected.
+    pub enospc_injected: u64,
+    /// EIO faults injected.
+    pub eio_injected: u64,
     /// Maintenance phases skipped on an expired virtual deadline.
     pub deferred_maintenance: u64,
     /// Largest post-enforcement resident byte total.
     pub resident_peak: u64,
+    /// Arbiter counters at run end (`None` in an unlimited-budget
+    /// world). `ceiling_breaches` counts every tick the total stayed
+    /// over the budget after the full ladder ran, including the honest
+    /// ones where the unevictable template-string floor alone exceeds
+    /// it — the Ceiling checker fires only on the dishonest kind.
+    pub arbiter: Option<ArbiterStats>,
+    /// Mean max/mean shard-heat ratio over the final quarter of the
+    /// run: the rebalance-effect metric, lower is flatter.
+    pub heat_ratio_tail: f64,
     /// Observations moved to spill blobs by grant enforcement.
     pub spilled_observations: u64,
     /// Spill writes bounced by an injected fault (blob held pending).
@@ -191,6 +204,8 @@ struct World {
     arbiter: Option<BudgetArbiter>,
     current_budget: usize,
     heat: HeatTracker,
+    // Max/mean heat ratio after each tick's demand report.
+    heat_ratios: Vec<f64>,
     policy: Option<RebalancePolicy>,
     health: Vec<ShardHealth>,
     corpus: Vec<String>,
@@ -294,18 +309,7 @@ impl World {
             store.stream_enable(stream_cfg(&plan));
         }
 
-        let arbiter = (plan.budget_bytes > 0).then(|| {
-            BudgetArbiter::new(
-                ArbiterConfig {
-                    global_budget_bytes: plan.budget_bytes,
-                    min_grant_bytes: plan.min_grant_bytes,
-                    alpha: 0.3,
-                    shed_after: 2,
-                    quarantine_after: 1_000,
-                },
-                plan.shards,
-            )
-        });
+        let arbiter = plan.arbiter_config().map(|cfg| BudgetArbiter::new(cfg, plan.shards));
         let policy = plan.rebalance.then(|| {
             RebalancePolicy::new(RebalanceConfig {
                 imbalance_ratio: 1.3,
@@ -351,6 +355,7 @@ impl World {
             arbiter,
             current_budget,
             heat: HeatTracker::new(shards, HeatConfig::default()),
+            heat_ratios: Vec::new(),
             policy,
             health,
             corpus,
@@ -688,6 +693,7 @@ impl World {
         for (i, d) in demands.iter().enumerate() {
             self.heat.observe(i, d.ingested_delta, d.resident_bytes);
         }
+        self.heat_ratios.push(self.heat.max_mean_ratio());
         let Some(mut arbiter) = self.arbiter.take() else {
             return;
         };
@@ -1042,6 +1048,8 @@ impl World {
             fnv_u64(&mut digest, v.tick);
             fnv(&mut digest, v.check.to_string().as_bytes());
         }
+        let tail = (self.heat_ratios.len() / 4).max(1);
+        let heat_ratio_tail = self.heat_ratios.iter().rev().take(tail).sum::<f64>() / tail as f64;
         SimReport {
             ticks_run: self.ticks_run,
             offered: self.offered.iter().sum(),
@@ -1060,8 +1068,12 @@ impl World {
             migration_observations: self.migration_observations,
             resume_failures: self.resume_failures,
             faults_injected: self.switch.total_injected(),
+            enospc_injected: self.switch.injected(FaultKind::Enospc),
+            eio_injected: self.switch.injected(FaultKind::Eio),
             deferred_maintenance: self.deferred_maintenance,
             resident_peak: self.resident_peak,
+            arbiter: self.arbiter.as_ref().map(|a| *a.stats()),
+            heat_ratio_tail,
             spilled_observations: self.spilled_observations,
             spill_write_failures: self.spill_write_failures,
             pending_spills_final: self.pending.len(),
@@ -1097,6 +1109,7 @@ mod tests {
             maintenance_ms: 20,
             group_commit: 0,
             events: Vec::new(),
+            ..SimPlan::default()
         }
     }
 

@@ -1,6 +1,5 @@
 //! The [`Trace`] and [`TraceSet`] types: ordered workload metric series.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which side of Definition 1 a trace belongs to.
@@ -9,7 +8,7 @@ use std::fmt;
 /// traces (arrival rates of templated queries) and its resource traces
 /// (CPU / memory / disk utilization ratios). The multi-task WFGAN trains
 /// jointly across both kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// Query arrival-rate trace `W(Q)` (occurrence counts per interval).
     Query,
@@ -31,7 +30,7 @@ impl fmt::Display for TraceKind {
 /// Values are ordered by timestamp; index `i` corresponds to time
 /// `origin + i * interval_secs`. The trace owns its data (`Vec<f64>`) and
 /// derefs to a slice for read access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Human-readable identifier (e.g. a SQL template id or `disk:host42`).
     pub name: String,
@@ -199,7 +198,7 @@ impl std::ops::Deref for Trace {
 
 /// A collection of traces covering one database instance (the workload
 /// `W = (Q, R)` of Definition 1).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSet {
     traces: Vec<Trace>,
 }

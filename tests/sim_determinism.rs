@@ -4,11 +4,14 @@
 //! caught by the invariant checkers and shrunk to a ≤5-event
 //! reproducer that itself replays exactly; and a small clean swarm —
 //! including a guaranteed ENOSPC-during-migration-under-pressure
-//! compound slot — passes every checker on every tick.
+//! compound slot — passes every checker on every tick. The pinned
+//! `pressure_*.plan` files carry the memory-pressure defense: hard byte
+//! ceiling, reconciled books and zero acked loss under ENOSPC/EIO on
+//! the WAL, the spill path and in-flight migrations.
 
 use dbaugur_sim::{
     generate_plan, run_plan, run_plan_with, run_swarm, shrink, CanaryBug, CheckKind, SimOptions,
-    SimPlan, SwarmConfig,
+    SimPlan, SimReport, SwarmConfig,
 };
 
 /// The swarm seed every gate pins: bench9 and CI run the same stream.
@@ -94,6 +97,85 @@ fn pinned_group_commit_plan_survives_batch_boundary_faults() {
     );
     assert!(a.stream_lost > 0, "faults landed inside coalesced batches");
     assert!(a.shed_io >= a.stream_lost, "lost records are ledgered, not vanished");
+}
+
+/// The flood really pressured the budget, every scheduled fault kind
+/// really fired, every rung short of quarantine really worked — and the
+/// ceiling still held after enforcement on every tick.
+fn ladder_engaged_and_ceiling_held(r: &SimReport) {
+    let arbiter = r.arbiter.expect("a budgeted world reports its arbiter");
+    assert!(r.acked > 10_000, "the run did real work: {r:?}");
+    assert_eq!(arbiter.ceiling_breaches, 0, "hard ceiling held every tick");
+    assert!(r.resident_peak <= arbiter.max_total_resident);
+    assert!(r.enospc_injected > 0, "ENOSPC bursts actually fired");
+    assert!(r.eio_injected > 0, "EIO burst actually fired");
+    assert!(r.spill_write_failures > 0, "a full disk bounced spill writes");
+    assert!(r.spilled_observations > 0, "the spill rung did real work");
+    assert!(arbiter.exhausted_ticks > 0, "the flood actually pressured the budget");
+    assert!(arbiter.pressure_sheds_engaged > 0, "the shed rung engaged");
+    assert!(r.shed_pressure > 0, "typed memory-pressure sheds reached the front door");
+    assert!(r.migrations_completed > 0, "auto-rebalance drove real migrations");
+}
+
+#[test]
+fn pinned_pressure_plans_hold_the_ceiling_the_books_and_every_acked_observation() {
+    type Expect = fn(&SimReport);
+    let cases: [(&str, &str, Expect); 4] = [
+        // Front-door ENOSPC/EIO, mid-spill ENOSPC and a mid-commit
+        // migration fault over a 4-shard flood at several times the
+        // budget's slack.
+        (
+            "pressure_ladder",
+            include_str!("plans/pressure_ladder.plan"),
+            ladder_engaged_and_ceiling_held,
+        ),
+        // A burst right before enforcement every third tick: bounced
+        // spill blobs wait in the pending buffer, they are never dropped.
+        ("pressure_spill_faults", include_str!("plans/pressure_spill_faults.plan"), |r| {
+            assert!(r.spill_write_failures > 0, "spill writes were actually bounced");
+            assert_eq!(r.arbiter.expect("budgeted").ceiling_breaches, 0);
+        }),
+        // A budget below the unevictable template-string floor: the
+        // ladder cannot win, so it sheds, then quarantines — the breach
+        // is reported honestly and still nothing acked is lost.
+        ("pressure_deep_exhaustion", include_str!("plans/pressure_deep_exhaustion.plan"), |r| {
+            let arbiter = r.arbiter.expect("budgeted");
+            assert!(arbiter.pressure_quarantines > 0, "final rung fired");
+            assert!(r.quarantines > 0, "a worst offender left rotation");
+            assert!(r.shed_breaker > 0, "quarantined shard's intake shed at the breaker");
+            assert!(arbiter.ceiling_breaches > 0, "an unsatisfiable budget breaches honestly");
+        }),
+        // The CI drill: 8 shards, 20 000 templates, 15 000 a tick.
+        ("pressure_ci", include_str!("plans/pressure_ci.plan"), ladder_engaged_and_ceiling_held),
+    ];
+    let reports = cases.map(|(name, text, expect)| {
+        let plan = SimPlan::parse(text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
+        assert_eq!(plan.encode(), text, "{name} is canonically encoded");
+        let a = run_plan(&plan);
+        let b = run_plan(&plan);
+        // Ceiling, Books and Conservation ran after every tick.
+        assert!(a.passed(), "{name} violations: {:?}", a.violations);
+        assert_eq!(a.digest, b.digest, "{name} replays byte-identically");
+        assert_eq!(a.pending_spills_final, 0, "{name}: pending spills drained after relief");
+        expect(&a);
+        a
+    });
+
+    // The ladder plan again with rebalance flipped off: the heat-driven
+    // migrations must measurably flatten max/mean shard heat over the
+    // run's tail.
+    let on = &reports[0];
+    let mut plan = SimPlan::parse(cases[0].1).expect("parses");
+    assert!(plan.rebalance);
+    plan.rebalance = false;
+    let off = run_plan(&plan);
+    assert!(off.passed(), "control arm violations: {:?}", off.violations);
+    assert!(
+        on.heat_ratio_tail < off.heat_ratio_tail,
+        "rebalance must flatten max/mean heat: {} (on) vs {} (off)",
+        on.heat_ratio_tail,
+        off.heat_ratio_tail
+    );
 }
 
 #[test]
