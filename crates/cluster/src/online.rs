@@ -241,6 +241,12 @@ impl<D: Distance> OnlineDescender<D> {
         self.staged.len()
     }
 
+    /// The staged points, oldest first: each trace's name beside the
+    /// (sanitized, normalized) values that will enter the index.
+    pub fn staged(&self) -> impl Iterator<Item = (&str, &[f64])> {
+        self.staged.iter().map(|(point, name)| (name.as_str(), point.as_slice()))
+    }
+
     /// Fold up to `budget` staged points through full admission, in
     /// arrival order. Each fold runs the same ρ-neighbourhood, merge and
     /// amortized-rebuild logic as [`insert`], so draining the stage

@@ -16,6 +16,7 @@ use crate::retry::{DurabilityCounters, RetryExhausted, RetryOutcome, RetryPolicy
 use crate::snapshot::{RecoveryReport, SnapshotError};
 use crate::vfs::{real_vfs, DynVfs};
 use crate::wal::{group_batch_bucket, GroupCommitBuffer, GroupCommitConfig, Wal};
+use dbaugur_sqlproc::StatementHandle;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -296,9 +297,10 @@ impl DurableDbAugur {
     // ------------------------------------------------------------------
 
     /// Enable the streaming ingest path: records submitted through
-    /// [`stream_submit`](Self::stream_submit) coalesce in a bounded
-    /// buffer and hit the disk `cfg.max_records`-at-a-time (or after
-    /// `cfg.max_delay_us` virtual microseconds), one fsync per batch.
+    /// [`stream_submit_parsed`](Self::stream_submit_parsed) coalesce in
+    /// a bounded buffer and hit the disk `cfg.max_records`-at-a-time
+    /// (or after `cfg.max_delay_us` virtual microseconds), one fsync
+    /// per batch.
     pub fn stream_enable(&mut self, cfg: GroupCommitConfig) {
         self.stream = Some(GroupCommitBuffer::new(cfg));
     }
@@ -313,8 +315,23 @@ impl DurableDbAugur {
         self.stream.as_ref().map_or(0, GroupCommitBuffer::len)
     }
 
+    /// Submit one bare record on the streaming path: a one-line adapter
+    /// that parses `sql` into a [`StatementHandle`] for
+    /// [`stream_submit_parsed`](Self::stream_submit_parsed).
+    pub fn stream_submit(
+        &mut self,
+        now_us: u64,
+        ts_secs: u64,
+        sql: &str,
+    ) -> io::Result<Option<FlushReport>> {
+        self.stream_submit_parsed(now_us, ts_secs, sql, StatementHandle::of(sql))
+    }
+
     /// Submit one record on the streaming path at virtual time
-    /// `now_us`. The record is buffered — **not** durable, applied, or
+    /// `now_us`, with the handle the layers above made from `sql`; it
+    /// waits beside the record and is spent by the post-fsync apply, so
+    /// the statement is never fingerprinted or canonicalized again.
+    /// The record is buffered — **not** durable, applied, or
     /// acknowledged — until a flush covers it; when this submit itself
     /// trips the coalescing policy (batch full, or the oldest pending
     /// record timed out), the flush happens inline and its report comes
@@ -326,14 +343,15 @@ impl DurableDbAugur {
     /// Panics when streaming was never enabled — submitting without
     /// [`stream_enable`](Self::stream_enable) is a programming error,
     /// not a runtime condition.
-    pub fn stream_submit(
+    pub fn stream_submit_parsed(
         &mut self,
         now_us: u64,
         ts_secs: u64,
         sql: &str,
+        stmt: StatementHandle,
     ) -> io::Result<Option<FlushReport>> {
         let buf = self.stream.as_mut().expect("stream_submit before stream_enable");
-        buf.submit(now_us, ts_secs, sql);
+        buf.submit(now_us, ts_secs, sql, stmt);
         if buf.size_due() || buf.timer_due(now_us) {
             return self.flush_stream(false);
         }
@@ -358,7 +376,8 @@ impl DurableDbAugur {
     }
 
     /// The flush proper: batch-append under the retry policy, then
-    /// apply the batch to memory through the fingerprint fast path.
+    /// apply the batch to memory through the fingerprint fast path,
+    /// spending each record's handle.
     /// Application happens strictly *after* the fsync so nothing
     /// unflushed is ever visible to forecasts, checkpoints, or books.
     fn flush_stream(&mut self, forced: bool) -> io::Result<Option<FlushReport>> {
@@ -366,7 +385,7 @@ impl DurableDbAugur {
         if buf.is_empty() {
             return Ok(None);
         }
-        let entries = buf.take();
+        let (entries, handles) = buf.take();
         let mut outcome = RetryOutcome::default();
         let result = {
             let wal_cell = std::cell::RefCell::new(&mut self.wal);
@@ -386,8 +405,8 @@ impl DurableDbAugur {
             }
         }
         let first_seq = result?;
-        for (ts_secs, sql) in &entries {
-            self.sys.ingest_record_streamed(*ts_secs, sql);
+        for ((ts_secs, sql), stmt) in entries.iter().zip(handles) {
+            self.sys.ingest_parsed(*ts_secs, sql, stmt);
         }
         self.sys.applied_seq = first_seq + entries.len() as u64 - 1;
         let d = &mut self.sys.durability;

@@ -36,7 +36,7 @@ use dbaugur_models::{
     Forecaster, MemberState, MlpForecaster, SeasonalNaive, TcnForecaster, TimeSensitiveEnsemble,
     Wfgan, WfganConfig,
 };
-use dbaugur_sqlproc::{parse_log_stream, TemplateRegistry};
+use dbaugur_sqlproc::{parse_log_stream, StatementHandle, TemplateRegistry};
 use dbaugur_trace::{fill_gaps, Trace, WindowSpec};
 use std::collections::HashMap;
 use std::fmt;
@@ -427,11 +427,19 @@ impl DbAugur {
         self.registry.observe(sql, ts_secs);
     }
 
-    /// Ingest one statement through the fingerprint fast path: repeat
-    /// token skeletons skip the canonicalizer entirely. Reaches exactly
+    /// Ingest one bare statement through the fingerprint fast path: a
+    /// one-line adapter over [`Self::ingest_parsed`]. Reaches exactly
     /// the same registry state as [`Self::ingest_record`].
     pub fn ingest_record_streamed(&mut self, ts_secs: u64, sql: &str) {
-        self.registry.observe_streamed(sql, ts_secs);
+        self.ingest_parsed(ts_secs, sql, StatementHandle::of(sql));
+    }
+
+    /// Ingest one statement together with what the layers above already
+    /// parsed out of it (`stmt` must have been made from `sql`): repeat
+    /// token skeletons skip the canonicalizer entirely, and a canonical
+    /// form the shard router computed is reused, not recomputed.
+    pub fn ingest_parsed(&mut self, ts_secs: u64, sql: &str, stmt: StatementHandle) {
+        self.registry.observe_parsed(sql, stmt, ts_secs);
     }
 
     /// Ingest a whole log text in the `<epoch>\t<sql>` format, skipping
@@ -509,6 +517,19 @@ impl DbAugur {
     /// Observations dropped by the per-template cap (cumulative).
     pub fn dropped_observations(&self) -> u64 {
         self.registry.dropped_observations()
+    }
+
+    /// Bound the registry's fingerprint → template cache (see
+    /// [`TemplateRegistry::set_template_cache_cap`]; 0 disables it).
+    pub fn set_template_cache_cap(&mut self, cap: usize) {
+        self.registry.set_template_cache_cap(cap);
+    }
+
+    /// Drain the templates that gained observations since the previous
+    /// call (see [`TemplateRegistry::take_touched`]); the streaming
+    /// front door closes arrival bins over these alone.
+    pub fn take_touched_templates(&mut self) -> Vec<dbaugur_sqlproc::TemplateId> {
+        self.registry.take_touched()
     }
 
     /// Evict cold template histories until the registry's approximate

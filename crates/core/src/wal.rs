@@ -26,6 +26,7 @@
 //! durable prefix rather than burying garbage.
 
 use crate::vfs::{real_vfs, DynVfs, VfsFile};
+use dbaugur_sqlproc::StatementHandle;
 use dbaugur_trace::wire::{crc32, WireError, WireReader, WireWriter};
 use dbaugur_trace::Trace;
 use std::fs::File;
@@ -497,11 +498,16 @@ impl Default for GroupCommitConfig {
 /// the whole batch with [`Wal::append_record_batch`]. The buffer holds
 /// raw `(ts, sql)` submissions, not encoded frames, so a failed flush
 /// leaves nothing half-assigned: sequences are taken from the WAL at
-/// flush time.
+/// flush time. Each record's [`StatementHandle`] waits beside it, so
+/// the post-fsync apply reuses what the front door already parsed.
 #[derive(Debug)]
 pub struct GroupCommitBuffer {
     cfg: GroupCommitConfig,
+    /// The batch in the shape [`Wal::append_record_batch`] takes; this
+    /// is the one owned copy of each statement's text.
     pending: Vec<(u64, String)>,
+    /// `handles[i]` was made from `pending[i].1`.
+    handles: Vec<StatementHandle>,
     /// Virtual timestamp of the oldest pending submit.
     oldest_us: u64,
 }
@@ -509,7 +515,7 @@ pub struct GroupCommitBuffer {
 impl GroupCommitBuffer {
     /// An empty buffer under `cfg`.
     pub fn new(cfg: GroupCommitConfig) -> Self {
-        Self { cfg, pending: Vec::new(), oldest_us: 0 }
+        Self { cfg, pending: Vec::new(), handles: Vec::new(), oldest_us: 0 }
     }
 
     /// The policy in force.
@@ -517,12 +523,14 @@ impl GroupCommitBuffer {
         self.cfg
     }
 
-    /// Buffer one record submitted at virtual time `now_us`.
-    pub fn submit(&mut self, now_us: u64, ts_secs: u64, sql: &str) {
+    /// Buffer one record submitted at virtual time `now_us`, with the
+    /// handle made from `sql`.
+    pub fn submit(&mut self, now_us: u64, ts_secs: u64, sql: &str, stmt: StatementHandle) {
         if self.pending.is_empty() {
             self.oldest_us = now_us;
         }
         self.pending.push((ts_secs, sql.to_owned()));
+        self.handles.push(stmt);
     }
 
     /// True once the batch reached its record cap.
@@ -545,12 +553,13 @@ impl GroupCommitBuffer {
         self.pending.is_empty()
     }
 
-    /// Drain the batch for a flush attempt. The caller owns the records
-    /// from here: on a successful [`Wal::append_record_batch`] they are
-    /// acked; on failure they are dropped *unacked* (exactly the bulk
-    /// path's contract when a single append exhausts its retries).
-    pub fn take(&mut self) -> Vec<(u64, String)> {
-        std::mem::take(&mut self.pending)
+    /// Drain the batch — records and, index for index, their handles —
+    /// for a flush attempt. The caller owns the records from here: on a
+    /// successful [`Wal::append_record_batch`] they are acked; on
+    /// failure they are dropped *unacked* (exactly the bulk path's
+    /// contract when a single append exhausts its retries).
+    pub fn take(&mut self) -> (Vec<(u64, String)>, Vec<StatementHandle>) {
+        (std::mem::take(&mut self.pending), std::mem::take(&mut self.handles))
     }
 }
 
@@ -890,18 +899,24 @@ mod tests {
         let cfg = GroupCommitConfig { max_records: 3, max_delay_us: 100 };
         let mut buf = GroupCommitBuffer::new(cfg);
         assert!(buf.is_empty() && !buf.size_due() && !buf.timer_due(1_000_000));
-        buf.submit(50, 1, "SELECT a");
+        let submit = |buf: &mut GroupCommitBuffer, now_us, ts, sql: &str| {
+            buf.submit(now_us, ts, sql, StatementHandle::of(sql));
+        };
+        submit(&mut buf, 50, 1, "SELECT a");
         assert!(!buf.size_due());
         assert!(!buf.timer_due(149), "49 µs elapsed, delay is 100");
         assert!(buf.timer_due(150), "oldest waited the full delay");
-        buf.submit(60, 2, "SELECT b");
-        buf.submit(70, 3, "SELECT c");
+        submit(&mut buf, 60, 2, "SELECT b");
+        submit(&mut buf, 70, 3, "SELECT c");
         assert!(buf.size_due());
-        let batch = buf.take();
+        let (batch, handles) = buf.take();
         assert_eq!(batch.len(), 3);
+        for ((_, sql), stmt) in batch.iter().zip(&handles) {
+            assert_eq!(stmt.fingerprint(), dbaugur_sqlproc::fingerprint(sql));
+        }
         assert!(buf.is_empty() && !buf.size_due());
         // The timer tracks the *new* oldest after a drain.
-        buf.submit(500, 4, "SELECT d");
+        submit(&mut buf, 500, 4, "SELECT d");
         assert!(!buf.timer_due(599));
         assert!(buf.timer_due(600));
     }

@@ -38,7 +38,7 @@ use dbaugur::{
     real_vfs, DbAugurConfig, DurabilityCounters, DurableDbAugur, DynVfs, FlushReport,
     GroupCommitConfig, RecoveryReport, SnapshotError,
 };
-use dbaugur_sqlproc::{canonicalize, TemplateId};
+use dbaugur_sqlproc::{canonicalize, StatementHandle, TemplateId};
 use dbaugur_trace::wire::{crc32, WireReader, WireWriter};
 use std::collections::HashMap;
 use std::io;
@@ -292,10 +292,21 @@ impl ShardedDurable {
     /// The shard that owns `sql`'s template: a migration override if
     /// one exists, the stable hash home otherwise.
     pub fn route(&self, sql: &str) -> usize {
-        let canonical = canonicalize(sql);
-        match self.overrides.get(&canonical) {
+        self.owner_of(&canonicalize(sql))
+    }
+
+    /// [`route`](Self::route) for a caller that carries a
+    /// [`StatementHandle`] made from `sql`: the canonical form routing
+    /// has to compute stays in `stmt` for the layers below instead of
+    /// being discarded (and is reused if `stmt` already holds it).
+    pub fn route_parsed(&self, sql: &str, stmt: &mut StatementHandle) -> usize {
+        self.owner_of(stmt.canonical(sql))
+    }
+
+    fn owner_of(&self, canonical: &str) -> usize {
+        match self.overrides.get(canonical) {
             Some(&shard) => shard,
-            None => shard_of(&canonical, self.shards.len()),
+            None => shard_of(canonical, self.shards.len()),
         }
     }
 
@@ -344,15 +355,15 @@ impl ShardedDurable {
         ts_secs: u64,
         sql: &str,
     ) -> io::Result<(usize, Option<FlushReport>)> {
-        let shard = self.route(sql);
-        let report = self.stream_submit_to(shard, now_us, ts_secs, sql)?;
+        let mut stmt = StatementHandle::of(sql);
+        let shard = self.route_parsed(sql, &mut stmt);
+        let report = self.stream_submit_parsed(shard, now_us, ts_secs, sql, stmt)?;
         Ok((shard, report))
     }
 
     /// [`stream_submit`](Self::stream_submit) with the routing decision
-    /// supplied by the caller — the fast path for front doors that cache
-    /// template → shard routing and only fall back to
-    /// [`route`](Self::route) on a cache miss.
+    /// supplied by the caller and a bare statement: a one-line adapter
+    /// over [`stream_submit_parsed`](Self::stream_submit_parsed).
     pub fn stream_submit_to(
         &mut self,
         shard: usize,
@@ -360,7 +371,23 @@ impl ShardedDurable {
         ts_secs: u64,
         sql: &str,
     ) -> io::Result<Option<FlushReport>> {
-        self.shards[shard].stream_submit(now_us, ts_secs, sql)
+        self.stream_submit_parsed(shard, now_us, ts_secs, sql, StatementHandle::of(sql))
+    }
+
+    /// Submit one record to `shard`'s group-commit buffer together with
+    /// the handle made from `sql` — the path for front doors that cache
+    /// template → shard routing, fall back to
+    /// [`route_parsed`](Self::route_parsed) on a miss, and hand down
+    /// whatever that had to compute.
+    pub fn stream_submit_parsed(
+        &mut self,
+        shard: usize,
+        now_us: u64,
+        ts_secs: u64,
+        sql: &str,
+        stmt: StatementHandle,
+    ) -> io::Result<Option<FlushReport>> {
+        self.shards[shard].stream_submit_parsed(now_us, ts_secs, sql, stmt)
     }
 
     /// Flush any shard whose oldest buffered record has aged past the

@@ -22,7 +22,7 @@
 //! negligible (~n²/2⁶⁴), and the cache is advisory: dropping it costs
 //! only recomputation, never durability.
 
-use crate::token::{with_chars, KEYWORDS};
+use crate::token::{is_keyword, with_chars};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -46,22 +46,6 @@ fn fold_char(mut h: u64, c: char) -> u64 {
         h = fold(h, b);
     }
     h
-}
-
-/// Longest keyword in [`KEYWORDS`]; words longer than this are idents.
-const MAX_KEYWORD_LEN: usize = 8;
-
-/// True when `word` (as lexed) is a SQL keyword, without allocating.
-fn is_keyword(word: &[char]) -> bool {
-    if word.len() > MAX_KEYWORD_LEN || !word.iter().all(char::is_ascii) {
-        return false;
-    }
-    let mut buf = [0u8; MAX_KEYWORD_LEN];
-    for (slot, c) in buf.iter_mut().zip(word) {
-        *slot = c.to_ascii_uppercase() as u8;
-    }
-    let upper = std::str::from_utf8(&buf[..word.len()]).expect("ascii");
-    KEYWORDS.contains(&upper)
 }
 
 /// Hash the templatized token skeleton of `sql` in one streaming pass.

@@ -13,6 +13,10 @@
 //!    only in commutative orderings (`SELECT a, b` vs `SELECT b, a`,
 //!    `A JOIN B ON A.id = B.id` vs `B JOIN A ON B.id = A.id`, reordered
 //!    `AND` conjuncts) canonicalize to the same string;
+//!    [`fingerprint()`] hashes the templatized token skeleton without
+//!    materializing it, and a [`statement::StatementHandle`] carries
+//!    that hash (plus the canonical string, once computed) down the
+//!    streaming ingest path so each statement is parsed once;
 //! 4. [`registry`] — a [`registry::TemplateRegistry`] accumulates
 //!    observations per template and emits per-template arrival-rate
 //!    [`dbaugur_trace::Trace`]s at a chosen forecasting interval;
@@ -23,6 +27,7 @@ pub mod canon;
 pub mod fingerprint;
 pub mod log;
 pub mod registry;
+pub mod statement;
 pub mod template;
 pub mod token;
 
@@ -33,5 +38,6 @@ pub use log::{
     LogStreamStats, ParsedLog,
 };
 pub use registry::{EvictionReport, TemplateId, TemplateRegistry};
+pub use statement::StatementHandle;
 pub use template::templatize;
 pub use token::{tokenize, Token};

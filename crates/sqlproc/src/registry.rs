@@ -2,6 +2,7 @@
 //! traces (the "query trace" `W(Q)` of Definition 1).
 
 use crate::canon::canonicalize;
+use crate::statement::StatementHandle;
 use dbaugur_trace::wire::{WireError, WireReader, WireWriter};
 use dbaugur_trace::{Trace, TraceKind, TraceSet};
 use std::collections::HashMap;
@@ -65,12 +66,12 @@ pub struct TemplateRegistry {
     dropped_observations: u64,
     /// Template histories evicted by `evict_cold` (cumulative).
     evicted_templates: u64,
-    /// Bounded fingerprint → id cache backing [`observe_streamed`]: the
+    /// Bounded fingerprint → id cache backing [`observe_parsed`]: the
     /// O(1) fast path past the full canonicalizer. Advisory only —
     /// entries never dangle (ids are stable for the registry's life)
     /// and clearing it costs nothing but recomputation.
     ///
-    /// [`observe_streamed`]: TemplateRegistry::observe_streamed
+    /// [`observe_parsed`]: TemplateRegistry::observe_parsed
     fp_cache: HashMap<u64, TemplateId>,
     /// Cache capacity; at the cap the whole cache is reset (wholesale
     /// reset keeps the bound O(1) amortized and needs no LRU links).
@@ -79,6 +80,12 @@ pub struct TemplateRegistry {
     fp_hits: u64,
     /// Fast-path statements that fell back to the full canonicalizer.
     fp_misses: u64,
+    /// Templates that gained observations since the last
+    /// [`take_touched`](TemplateRegistry::take_touched), each listed
+    /// once, in first-touch order. Bounded by the template count.
+    touched: Vec<TemplateId>,
+    /// `touched` membership, indexed by template id.
+    is_touched: Vec<bool>,
 }
 
 /// Default fingerprint-cache capacity: big enough that realistic
@@ -107,6 +114,8 @@ impl Default for TemplateRegistry {
             fp_cache_cap: FP_CACHE_CAP,
             fp_hits: 0,
             fp_misses: 0,
+            touched: Vec::new(),
+            is_touched: Vec::new(),
         }
     }
 }
@@ -126,27 +135,47 @@ impl TemplateRegistry {
         id
     }
 
-    /// The streaming fast path: record one statement, answering repeat
-    /// token skeletons from the bounded fingerprint cache and running
-    /// the full canonicalizer only on a cache miss. Produces exactly
-    /// the same template ids, observations, and `approx_bytes` growth
-    /// as [`observe`] (plus the bounded cache itself), so bulk and
-    /// streamed ingest of the same records reach identical state.
+    /// The streaming fast path over a bare statement: a one-line adapter
+    /// that parses `sql` into a [`StatementHandle`] and hands it to
+    /// [`observe_parsed`](TemplateRegistry::observe_parsed).
+    pub fn observe_streamed(&mut self, sql: &str, ts_secs: u64) -> TemplateId {
+        self.observe_parsed(sql, StatementHandle::of(sql), ts_secs)
+    }
+
+    /// Record one statement whose parse results arrive with it: repeat
+    /// token skeletons are answered from the bounded fingerprint cache,
+    /// and on a miss the canonical form is taken from `stmt` if an
+    /// earlier layer (the shard router) already computed it — the
+    /// canonicalizer runs here only when nobody has. `stmt` must have
+    /// been made from `sql`. Produces exactly the same template ids,
+    /// observations, and `approx_bytes` growth as [`observe`] (plus the
+    /// bounded cache itself), so bulk and streamed ingest of the same
+    /// records reach identical state.
     ///
     /// [`observe`]: TemplateRegistry::observe
-    pub fn observe_streamed(&mut self, sql: &str, ts_secs: u64) -> TemplateId {
-        if self.fp_cache_cap == 0 {
-            self.fp_misses += 1;
-            return self.observe(sql, ts_secs);
-        }
-        let fp = crate::fingerprint(sql);
+    pub fn observe_parsed(
+        &mut self,
+        sql: &str,
+        stmt: StatementHandle,
+        ts_secs: u64,
+    ) -> TemplateId {
+        debug_assert_eq!(
+            stmt.fingerprint(),
+            crate::fingerprint(sql),
+            "a statement handle travels with the statement it was made from"
+        );
+        let fp = stmt.fingerprint();
         if let Some(&id) = self.fp_cache.get(&fp) {
             self.fp_hits += 1;
             self.record(id, ts_secs);
             return id;
         }
         self.fp_misses += 1;
-        let id = self.observe(sql, ts_secs);
+        let id = self.intern(stmt.into_canonical(sql));
+        self.record(id, ts_secs);
+        if self.fp_cache_cap == 0 {
+            return id;
+        }
         if self.fp_cache.len() >= self.fp_cache_cap {
             // Wholesale reset: O(1) amortized, no LRU bookkeeping. The
             // next few statements re-warm as misses.
@@ -167,9 +196,9 @@ impl TemplateRegistry {
 
     /// Statements the fast path handed to the full canonicalizer
     /// (cumulative; also counts every bulk-path statement as zero —
-    /// only [`observe_streamed`] touches the cache).
+    /// only [`observe_parsed`] touches the cache).
     ///
-    /// [`observe_streamed`]: TemplateRegistry::observe_streamed
+    /// [`observe_parsed`]: TemplateRegistry::observe_parsed
     pub fn template_cache_misses(&self) -> u64 {
         self.fp_misses
     }
@@ -197,14 +226,36 @@ impl TemplateRegistry {
                 self.templates.push(canonical);
                 self.observations.push(Vec::new());
                 self.last_seen.push(0);
+                self.is_touched.push(false);
                 id
             }
         }
     }
 
+    /// Note that `slot` gained observations since the last drain.
+    fn touch(&mut self, slot: usize) {
+        if !self.is_touched[slot] {
+            self.is_touched[slot] = true;
+            self.touched.push(TemplateId(slot as u32));
+        }
+    }
+
+    /// Drain the list of templates that gained observations (streamed,
+    /// bulk, replayed, decoded or restored from a spill) since the
+    /// previous call. This is what lets a consumer that closes arrival
+    /// bins visit only the templates that can have a non-zero count
+    /// instead of every template in the registry.
+    pub fn take_touched(&mut self) -> Vec<TemplateId> {
+        for id in &self.touched {
+            self.is_touched[id.0 as usize] = false;
+        }
+        std::mem::take(&mut self.touched)
+    }
+
     /// Append one observation to an already-interned template.
     fn record(&mut self, id: TemplateId, ts_secs: u64) {
         let slot = id.0 as usize;
+        self.touch(slot);
         self.observations[slot].push(ts_secs);
         self.approx_bytes += 8;
         if ts_secs > self.last_seen[slot] {
@@ -376,8 +427,8 @@ impl TemplateRegistry {
                     self.last_seen[id] = max;
                 }
             }
-            let slot = &mut self.observations[id];
-            slot.splice(0..0, obs);
+            self.observations[id].splice(0..0, obs);
+            self.touch(id);
             restored += 1;
         }
         Ok(restored)
@@ -516,6 +567,10 @@ impl TemplateRegistry {
             }
             reg.approx_bytes += 2 * tpl.len() + TEMPLATE_OVERHEAD + 8 * obs.len();
             reg.last_seen.push(obs.iter().copied().max().unwrap_or(0));
+            reg.is_touched.push(false);
+            if !obs.is_empty() {
+                reg.touch(id.0 as usize);
+            }
             reg.templates.push(tpl);
             reg.observations.push(obs);
         }

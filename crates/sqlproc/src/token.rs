@@ -16,6 +16,59 @@ pub(crate) const KEYWORDS: &[&str] = &[
     "COMMIT", "ROLLBACK", "TRUE", "FALSE",
 ];
 
+/// Longest keyword in [`KEYWORDS`]: a keyword's upper-cased ASCII bytes
+/// pack into one `u64`.
+const MAX_KEYWORD_LEN: usize = 8;
+
+/// Big-endian pack of up to [`MAX_KEYWORD_LEN`] non-zero bytes; words of
+/// different lengths can never collide.
+const fn pack(word: &[u8]) -> u64 {
+    assert!(word.len() <= MAX_KEYWORD_LEN, "keyword too long to pack");
+    let mut packed = 0u64;
+    let mut i = 0;
+    while i < word.len() {
+        packed = packed << 8 | word[i] as u64;
+        i += 1;
+    }
+    packed
+}
+
+/// [`KEYWORDS`] packed and sorted at compile time, so the lexer and the
+/// fingerprint scanner share one binary search and one source list.
+const PACKED_KEYWORDS: [u64; KEYWORDS.len()] = {
+    let mut table = [0u64; KEYWORDS.len()];
+    let mut i = 0;
+    while i < KEYWORDS.len() {
+        // Insertion sort: const-evaluable, and the list is tiny.
+        let packed = pack(KEYWORDS[i].as_bytes());
+        let mut j = i;
+        while j > 0 && table[j - 1] > packed {
+            table[j] = table[j - 1];
+            j -= 1;
+        }
+        table[j] = packed;
+        i += 1;
+    }
+    table
+};
+
+/// True when `word` (as lexed, any letter case) is a SQL keyword.
+/// Allocation-free: keywords are pure ASCII letters, so anything longer
+/// than the longest keyword or holding any other character is an ident.
+pub(crate) fn is_keyword(word: &[char]) -> bool {
+    if word.len() > MAX_KEYWORD_LEN {
+        return false;
+    }
+    let mut packed = 0u64;
+    for &c in word {
+        if !c.is_ascii_alphabetic() {
+            return false;
+        }
+        packed = packed << 8 | u64::from(c.to_ascii_uppercase() as u8);
+    }
+    PACKED_KEYWORDS.binary_search(&packed).is_ok()
+}
+
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Token {
@@ -162,12 +215,11 @@ fn tokenize_chars(chars: &[char]) -> Vec<Token> {
             while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
                 i += 1;
             }
-            let word: String = chars[start..i].iter().collect();
-            let upper = word.to_ascii_uppercase();
-            if KEYWORDS.contains(&upper.as_str()) {
-                out.push(Token::Keyword(upper));
+            let word = &chars[start..i];
+            if is_keyword(word) {
+                out.push(Token::Keyword(word.iter().map(char::to_ascii_uppercase).collect()));
             } else {
-                out.push(Token::Ident(word.to_ascii_lowercase()));
+                out.push(Token::Ident(word.iter().map(char::to_ascii_lowercase).collect()));
             }
             continue;
         }
@@ -226,6 +278,34 @@ mod tests {
                 Token::Ident("stu".into()),
             ]
         );
+    }
+
+    #[test]
+    fn is_keyword_recognises_exactly_the_keyword_list() {
+        let chars = |s: &str| s.chars().collect::<Vec<char>>();
+        for kw in KEYWORDS {
+            let mixed: String = kw
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if i % 2 == 0 { c.to_ascii_lowercase() } else { c })
+                .collect();
+            for form in [kw.to_string(), kw.to_ascii_lowercase(), mixed] {
+                assert!(is_keyword(&chars(&form)), "{form} is a keyword");
+            }
+            // One letter short or one letter long is a keyword only if
+            // the list says so itself (AS/ASC, IN/INTO/INNER share prefixes).
+            let prefix = &kw[..kw.len() - 1];
+            assert_eq!(is_keyword(&chars(prefix)), KEYWORDS.contains(&prefix), "{prefix}");
+            let extended = format!("{kw}S");
+            assert_eq!(
+                is_keyword(&chars(&extended)),
+                KEYWORDS.contains(&extended.as_str()),
+                "{extended}"
+            );
+        }
+        for ident in ["SELEC", "SELECTS", "ROLLBACKS", "limitless", "", "_", "a1", "café", "ＳＥＬＥＣＴ"] {
+            assert!(!is_keyword(&chars(ident)), "{ident:?} is not a keyword");
+        }
     }
 
     #[test]

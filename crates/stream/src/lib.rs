@@ -10,7 +10,9 @@
 //! * **O(1) template matching** — a pre-tokenized fingerprint
 //!   ([`dbaugur_sqlproc::fingerprint`]) routes repeat statements through
 //!   a bounded cache in both the template registry and the shard router;
-//!   the full canonicalizer runs only on a miss.
+//!   the full canonicalizer runs only on a miss, and then once: the
+//!   router's result rides a [`dbaugur_sqlproc::StatementHandle`] down
+//!   to the registry.
 //! * **Amortized online clustering** — per-event
 //!   [`dbaugur_cluster::OnlineDescender::assign`] places arrival-rate
 //!   windows against the current clustering with lower-bound-pruned
@@ -25,8 +27,8 @@
 //!   trained cluster ensembles through the recursive Eqn. 7/8 update
 //!   (`γᵢ ← δ·γᵢ + e²`) instead of refitting.
 //!
-//! [`StreamFront`] threads all of this behind the existing bounded
-//! admission queue and into [`dbaugur_shard::ShardedDurable`].
+//! [`StreamFront`] threads all of this into
+//! [`dbaugur_shard::ShardedDurable`].
 
 pub mod front;
 pub mod soak;

@@ -45,7 +45,7 @@ pub struct StreamSoakReport {
     pub offered: u64,
     /// Events acked by a group-commit flush.
     pub acked: u64,
-    /// Events refused at the admission queue.
+    /// Events refused at the front door (it refuses nothing: always 0).
     pub shed: u64,
     /// Group-commit flushes.
     pub flushes: u64,
@@ -137,7 +137,7 @@ mod tests {
     fn burst_soak_conserves_every_event() {
         let report = run_stream_soak(StreamSoakConfig::default());
         assert!(report.offered > 500, "the default plan offers real load: {report:?}");
-        assert_eq!(report.shed, 0, "default queue bound absorbs the bursts");
+        assert_eq!(report.shed, 0, "the front door buffers bursts, it never refuses");
         assert!(
             report.flushes * 2 <= report.acked,
             "group commit coalesces (≥2 records/fsync on average): {report:?}"
