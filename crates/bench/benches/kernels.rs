@@ -2,7 +2,7 @@
 //! naive references: blocked matmul/t_matmul/matmul_t, the banded DTW
 //! inner loop, and batched ensemble inference. Every case first asserts
 //! the fast kernel is bitwise-identical to its f64 reference — a
-//! mismatch fails the bench run, which is what the CI kernel-smoke job
+//! mismatch fails the bench run, which is what the CI `drills` job
 //! keys on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

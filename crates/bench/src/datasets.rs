@@ -30,12 +30,25 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Resolve from `DBAUGUR_SCALE` (defaults to `standard`).
+    /// Resolve from `DBAUGUR_SCALE`: unset means `standard`. Any other
+    /// value than the three names exits non-zero, so a mistyped smoke
+    /// run cannot train at the wrong size under the wrong label.
     pub fn from_env() -> Self {
-        match std::env::var("DBAUGUR_SCALE").as_deref() {
-            Ok("quick") => Self::quick(),
-            Ok("full") => Self::full(),
-            _ => Self::standard(),
+        let value = std::env::var("DBAUGUR_SCALE").ok();
+        Self::parse(value.as_deref()).unwrap_or_else(|bad| {
+            eprintln!("error: DBAUGUR_SCALE={bad:?} is not one of quick|standard|full");
+            std::process::exit(2);
+        })
+    }
+
+    /// The scale a `DBAUGUR_SCALE` value names (`None` = unset), or the
+    /// rejected value.
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            Some("quick") => Ok(Self::quick()),
+            None | Some("standard") => Ok(Self::standard()),
+            Some("full") => Ok(Self::full()),
+            Some(other) => Err(other.to_string()),
         }
     }
 
@@ -119,6 +132,18 @@ mod tests {
         assert!(q.bustracker_days < s.bustracker_days);
         assert!(s.bustracker_days <= f.bustracker_days);
         assert!(q.epochs_wfgan <= s.epochs_wfgan);
+    }
+
+    #[test]
+    fn scale_parser_accepts_the_three_names_and_rejects_the_rest() {
+        let name = |v| Scale::parse(v).map(|s| s.name);
+        assert_eq!(name(None), Ok("standard"));
+        assert_eq!(name(Some("quick")), Ok("quick"));
+        assert_eq!(name(Some("standard")), Ok("standard"));
+        assert_eq!(name(Some("full")), Ok("full"));
+        assert_eq!(name(Some("quikc")), Err("quikc".to_string()));
+        assert_eq!(name(Some("Quick")), Err("Quick".to_string()));
+        assert_eq!(name(Some("")), Err(String::new()));
     }
 
     #[test]

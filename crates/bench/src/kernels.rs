@@ -1,16 +1,9 @@
-//! Shared workloads and timers for the compute-kernel microbenchmarks.
-//!
-//! The criterion bench (`benches/kernels.rs`) and the `BENCH_8.json`
-//! emitter (`src/bin/bench8.rs`) measure the same kernels — blocked
-//! matmul vs the naive reference, the banded DTW inner loop vs the
-//! pre-optimization kernel, and batched vs looped forecast inference —
-//! so workload construction lives here and the harnesses cannot drift.
+//! Seeded workloads for the compute-kernel criterion bench
+//! (`benches/kernels.rs`): matrices for blocked matmul vs the naive
+//! reference, series for the banded DTW inner loop vs the
+//! pre-optimization kernel.
 
-use dbaugur_dtw::{
-    dtw_distance_early_abandon_reference, dtw_distance_early_abandon_scratch, DtwScratch,
-};
 use dbaugur_nn::Mat;
-use std::time::Instant;
 
 /// Deterministic xorshift stream in `[-10, 10)` — no RNG dependency so
 /// the workload is identical everywhere.
@@ -46,135 +39,6 @@ pub fn seeded_series(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Best-of-`reps` wall time of `f`, in seconds.
-pub fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// GFLOP/s of an `m×k×n` matmul that took `secs`.
-pub fn matmul_gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
-    (2.0 * m as f64 * k as f64 * n as f64) / secs / 1e9
-}
-
-/// Approximate DTW cells touched for one `n × m` comparison under band
-/// half-width `w` (the banded kernel's actual work; the reference also
-/// pays an O(m) fill per row on top of this).
-pub fn dtw_band_cells(n: usize, m: usize, w: usize) -> usize {
-    let width = (2 * w + 1).min(m);
-    n * width
-}
-
-/// One matmul microbench: `(naive_secs, blocked_secs, bitwise_match)`.
-/// `which` selects the kernel: 0 = `matmul`, 1 = `t_matmul`,
-/// 2 = `matmul_t`.
-pub fn matmul_case(a: &Mat, b: &Mat, which: usize, reps: usize) -> (f64, f64, bool) {
-    let (naive, fast): (Mat, Mat) = match which {
-        0 => (a.matmul_reference(b), a.matmul(b)),
-        1 => (a.t_matmul_reference(b), a.t_matmul(b)),
-        _ => (a.matmul_t_reference(b), a.matmul_t(b)),
-    };
-    let matches = naive
-        .as_slice()
-        .iter()
-        .zip(fast.as_slice())
-        .all(|(x, y)| x.to_bits() == y.to_bits());
-    let naive_secs = time_best_of(reps, || match which {
-        0 => {
-            std::hint::black_box(a.matmul_reference(std::hint::black_box(b)));
-        }
-        1 => {
-            std::hint::black_box(a.t_matmul_reference(std::hint::black_box(b)));
-        }
-        _ => {
-            std::hint::black_box(a.matmul_t_reference(std::hint::black_box(b)));
-        }
-    });
-    let fast_secs = time_best_of(reps, || match which {
-        0 => {
-            std::hint::black_box(a.matmul(std::hint::black_box(b)));
-        }
-        1 => {
-            std::hint::black_box(a.t_matmul(std::hint::black_box(b)));
-        }
-        _ => {
-            std::hint::black_box(a.matmul_t(std::hint::black_box(b)));
-        }
-    });
-    (naive_secs, fast_secs, matches)
-}
-
-/// DTW pairwise microbench over `pairs` seeded series of length `len`
-/// under band half-width `window`: `(reference_secs, banded_secs,
-/// bitwise_match)`. Full-work comparison (no cutoff), matching the
-/// distance-matrix hot loop's worst case.
-pub fn dtw_case(len: usize, pairs: usize, window: usize, reps: usize) -> (f64, f64, bool) {
-    let series: Vec<Vec<f64>> =
-        (0..pairs).map(|i| seeded_series(len, 0x9e37 + i as u64 * 7919)).collect();
-    let mut scratch = DtwScratch::new();
-    let mut matches = true;
-    for i in 0..pairs {
-        let j = (i + 1) % pairs;
-        let r = dtw_distance_early_abandon_reference(
-            &series[i],
-            &series[j],
-            window,
-            f64::INFINITY,
-        );
-        let b = dtw_distance_early_abandon_scratch(
-            &series[i],
-            &series[j],
-            window,
-            f64::INFINITY,
-            &mut scratch,
-        );
-        matches &= r.to_bits() == b.to_bits();
-    }
-    let reference_secs = time_best_of(reps, || {
-        let mut acc = 0.0;
-        for i in 0..pairs {
-            let j = (i + 1) % pairs;
-            acc += dtw_distance_early_abandon_reference(
-                std::hint::black_box(&series[i]),
-                std::hint::black_box(&series[j]),
-                window,
-                f64::INFINITY,
-            );
-        }
-        std::hint::black_box(acc);
-    });
-    let banded_secs = time_best_of(reps, || {
-        let mut acc = 0.0;
-        for i in 0..pairs {
-            let j = (i + 1) % pairs;
-            acc += dtw_distance_early_abandon_scratch(
-                std::hint::black_box(&series[i]),
-                std::hint::black_box(&series[j]),
-                window,
-                f64::INFINITY,
-                &mut scratch,
-            );
-        }
-        std::hint::black_box(acc);
-    });
-    (reference_secs, banded_secs, matches)
-}
-
-/// `p`-th percentile (0–100) of an unsorted sample, nearest-rank.
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,38 +47,5 @@ mod tests {
     fn seeded_workloads_are_deterministic() {
         assert_eq!(seeded_mat(4, 5, 7).as_slice(), seeded_mat(4, 5, 7).as_slice());
         assert_eq!(seeded_series(16, 3), seeded_series(16, 3));
-    }
-
-    #[test]
-    fn matmul_case_reports_bitwise_match() {
-        let a = seeded_mat(13, 9, 1);
-        let b = seeded_mat(9, 11, 2);
-        for which in 0..3 {
-            let at = a.transpose();
-            let bt = b.transpose();
-            let (l, r) = match which {
-                1 => (&at, &b),
-                2 => (&a, &bt),
-                _ => (&a, &b),
-            };
-            let (naive, fast, ok) = matmul_case(l, r, which, 1);
-            assert!(ok, "kernel {which} diverged from reference");
-            assert!(naive > 0.0 && fast > 0.0);
-        }
-    }
-
-    #[test]
-    fn dtw_case_reports_bitwise_match() {
-        let (r, b, ok) = dtw_case(64, 4, 8, 1);
-        assert!(ok);
-        assert!(r > 0.0 && b > 0.0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&mut s, 50.0), 50.0);
-        assert_eq!(percentile(&mut s, 99.0), 99.0);
-        assert_eq!(percentile(&mut s, 100.0), 100.0);
     }
 }

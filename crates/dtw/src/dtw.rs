@@ -131,8 +131,9 @@ pub fn dtw_distance_early_abandon_scratch(
 
 /// Reference oracle for [`dtw_distance_early_abandon_scratch`]: the
 /// pre-optimization kernel, kept verbatim (full per-row +∞ fill,
-/// branchy row minimum) so property tests and the bench8 microbench can
-/// prove the banded kernel bitwise-identical and measure the win.
+/// branchy row minimum) so property tests and the `kernels` criterion
+/// bench can prove the banded kernel bitwise-identical and measure the
+/// win.
 pub fn dtw_distance_early_abandon_reference(
     a: &[f64],
     b: &[f64],

@@ -484,54 +484,6 @@ impl TimeSensitiveEnsemble {
         expired
     }
 
-    /// Feed a batch of `(window, actual)` feedback pairs through the
-    /// recursive Eqn. 7 update in one member-major pass.
-    ///
-    /// Weights (Eqn. 8) are derived from γ on demand, so after this call
-    /// [`weights`] already reflects every observation — no refit needed.
-    /// Streaming ingest uses this to absorb a group-committed batch with
-    /// one [`Forecaster::predict_batch`] forward pass per member instead
-    /// of `batch × members` single-window calls. The resulting γ are
-    /// bitwise-identical to a loop of [`Forecaster::observe`] calls: γᵢ
-    /// depends only on member `i`'s own predictions, members are frozen
-    /// between fits, and quarantine decisions replay in the same order.
-    ///
-    /// [`weights`]: TimeSensitiveEnsemble::weights
-    pub fn observe_batch(&mut self, windows: &[&[f64]], actuals: &[f64]) {
-        assert_eq!(windows.len(), actuals.len(), "one actual per window");
-        if windows.is_empty() {
-            return;
-        }
-        let adapted: Vec<Cow<'_, [f64]>> =
-            windows.iter().map(|w| self.adapt_window(w)).collect();
-        let refs: Vec<&[f64]> = adapted.iter().map(|w| w.as_ref()).collect();
-        for i in 0..self.members.len() {
-            if self.quarantined[i] {
-                continue;
-            }
-            let preds = self.members[i].predict_batch(&refs);
-            for (t, &p) in preds.iter().enumerate() {
-                if !actuals[t].is_finite() {
-                    // Poisoned feedback must not corrupt the error
-                    // histories (same rule as `observe`).
-                    continue;
-                }
-                if !p.is_finite() {
-                    self.quarantine_member(i, format!("non-finite prediction {p}"));
-                    break;
-                }
-                let e = (actuals[t] - p) * (actuals[t] - p);
-                let g = self.delta * self.gamma[i] + e;
-                if g.is_finite() {
-                    self.gamma[i] = g;
-                } else {
-                    self.quarantine_member(i, format!("non-finite forecasting distance {g}"));
-                    break;
-                }
-            }
-        }
-    }
-
     /// Normalize a window to the fitted history length so member models
     /// (which assert exact window length) never see a mismatched slice:
     /// longer windows keep their most recent values, shorter ones are
@@ -1102,60 +1054,6 @@ mod tests {
         assert_eq!(e.quarantined_count(), 1);
         e.fit(&TRAIN, SPEC);
         assert_eq!(e.quarantined_count(), 0);
-    }
-
-    #[test]
-    fn observe_batch_is_bitwise_identical_to_sequential_observe() {
-        let build = || {
-            let mut e = TimeSensitiveEnsemble::new(
-                "t",
-                vec![Box::new(Naive) as Box<dyn Forecaster>, Box::new(Constant(3.0))],
-                0.9,
-            );
-            e.fit(&TRAIN, SPEC);
-            e
-        };
-        let mut seq = build();
-        let mut batch = build();
-        let windows: Vec<Vec<f64>> =
-            (0..12).map(|t| vec![t as f64, (t as f64 * 0.7).sin() * 5.0]).collect();
-        let actuals: Vec<f64> =
-            (0..12).map(|t| if t == 7 { f64::NAN } else { 2.0 + (t % 3) as f64 }).collect();
-        for (w, &a) in windows.iter().zip(&actuals) {
-            seq.observe(w, a);
-        }
-        let refs: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
-        batch.observe_batch(&refs, &actuals);
-        assert_eq!(seq.forecasting_distances(), batch.forecasting_distances());
-        assert_eq!(seq.weights(), batch.weights());
-        assert_eq!(seq.quarantined_count(), batch.quarantined_count());
-    }
-
-    #[test]
-    fn observe_batch_quarantines_like_the_sequential_path() {
-        let build = || {
-            let mut e = TimeSensitiveEnsemble::new(
-                "t",
-                vec![Box::new(NanPredictor) as Box<dyn Forecaster>, Box::new(Constant(4.0))],
-                0.9,
-            );
-            e.fit(&TRAIN, SPEC);
-            e
-        };
-        let mut seq = build();
-        let mut batch = build();
-        let windows = [[5.0, 6.0], [6.0, 7.0], [7.0, 8.0]];
-        for w in &windows {
-            seq.observe(w, 4.0);
-        }
-        let refs: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
-        batch.observe_batch(&refs, &[4.0, 4.0, 4.0]);
-        assert_eq!(seq.quarantined_count(), 1);
-        assert_eq!(batch.quarantined_count(), 1);
-        assert_eq!(seq.forecasting_distances(), batch.forecasting_distances());
-        // An empty batch is a no-op.
-        batch.observe_batch(&[], &[]);
-        assert_eq!(seq.forecasting_distances(), batch.forecasting_distances());
     }
 
     #[test]

@@ -96,8 +96,8 @@ impl Default for SoakConfig {
     }
 }
 
-/// What a soak run observed, for the test's assertions and the bench's
-/// JSON.
+/// What a soak run observed, for the test's assertions and the CLI's
+/// report.
 #[derive(Debug, Clone)]
 pub struct SoakReport {
     /// Final cumulative counters.
@@ -129,11 +129,6 @@ pub struct SoakReport {
     /// tick with fresh forecasts on the new regime (`None` when the
     /// shift was disabled or recovery never happened in-run).
     pub post_shift_recovery_ticks: Option<u64>,
-    /// Shed rate (sheds / offered) before the shift tick; the whole
-    /// run's rate when the shift is disabled.
-    pub pre_shift_shed_rate: f64,
-    /// Shed rate from the shift tick onward (`0.0` when disabled).
-    pub post_shift_shed_rate: f64,
     /// Virtual milliseconds the scenario covered.
     pub virtual_ms: u64,
 }
@@ -207,15 +202,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut tail_degraded = 0u64;
     let mut tail_shed = 0u64;
     let mut poison_cursor = 0usize;
-    let mut at_shift: Option<ServeStats> = None;
     let mut recovery: Option<u64> = None;
 
     for tick in 0..cfg.ticks {
         let ts = tick as u64;
         let shifted = shift_tick.is_some_and(|s| tick >= s);
-        if shift_tick == Some(tick) {
-            at_shift = Some(*gov.stats());
-        }
         // Offered ingest: the flood plan (multiplied after the regime
         // shift), with poison templates woven into burst traffic
         // (hostile load arrives when it hurts most). Post-shift traffic
@@ -290,15 +281,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     }
 
     let stats = *gov.stats();
-    let offered = |s: &ServeStats| s.offered_forecasts + s.offered_ingest;
-    let rate = |shed: u64, off: u64| if off == 0 { 0.0 } else { shed as f64 / off as f64 };
-    let (pre_shift_shed_rate, post_shift_shed_rate) = match &at_shift {
-        Some(snap) => (
-            rate(snap.shed_total(), offered(snap)),
-            rate(stats.shed_total() - snap.shed_total(), offered(&stats) - offered(snap)),
-        ),
-        None => (rate(stats.shed_total(), offered(&stats)), 0.0),
-    };
     SoakReport {
         stats,
         final_queues: gov.queue_depths(),
@@ -313,8 +295,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         tail_shed,
         shift_tick,
         post_shift_recovery_ticks: recovery,
-        pre_shift_shed_rate,
-        post_shift_shed_rate,
         virtual_ms: gov.clock().now_ms(),
     }
 }
@@ -352,7 +332,6 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.shift_tick, None);
         assert_eq!(a.post_shift_recovery_ticks, None);
-        assert_eq!(a.post_shift_shed_rate, 0.0);
     }
 
     #[test]
@@ -373,7 +352,6 @@ mod tests {
             a.post_shift_recovery_ticks.is_some(),
             "the sim engine recovers on the new template set"
         );
-        assert!(a.pre_shift_shed_rate.is_finite() && a.post_shift_shed_rate.is_finite());
     }
 
     #[test]

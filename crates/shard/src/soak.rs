@@ -4,10 +4,11 @@
 //! The harness exists to prove the bulkhead claim with bytes, not
 //! vibes: the same seeded workload is run fault-free and with one shard
 //! killed, and the surviving shards' served-value digests must match
-//! exactly. It also measures what the ISSUE's bench gates on — how many
-//! ticks the hurt shard takes to recover, what fraction of traffic was
-//! shed during the outage window, and how many forecasts were answered
-//! as failover floors instead of queueing behind the dead shard.
+//! exactly. It also measures what `tests/shard_isolation.rs` gates on —
+//! how many ticks the hurt shard takes to recover, what fraction of
+//! traffic was shed during the outage window, and how many forecasts
+//! were answered as failover floors instead of queueing behind the dead
+//! shard.
 
 use crate::health::{HealthPolicy, ShardState};
 use crate::supervisor::{Supervisor, SupervisorConfig, SupervisorStats};
@@ -133,8 +134,6 @@ impl OutageWindow {
 /// What a shard-kill soak run observed.
 #[derive(Debug, Clone)]
 pub struct ShardSoakReport {
-    /// Ticks executed.
-    pub ticks_run: u64,
     /// Per-shard served-value digests (live epoch) at run end.
     pub per_shard_digests: Vec<u64>,
     /// Per-shard merged books (retired epochs + live governor).
@@ -311,7 +310,6 @@ pub fn run_shard_soak(cfg: &ShardSoakConfig) -> ShardSoakReport {
     }
 
     ShardSoakReport {
-        ticks_run: cfg.ticks as u64,
         per_shard_digests: sup.per_shard_digests(),
         per_shard_stats: (0..cfg.shards).map(|i| sup.merged_stats(i)).collect(),
         final_states: (0..cfg.shards).map(|i| sup.health(i).state()).collect(),

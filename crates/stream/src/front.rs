@@ -624,67 +624,108 @@ mod tests {
         }
     }
 
+    /// Periodic arrival patterns over six shapes for two hours: enough
+    /// structure for training to cluster and forecast.
+    fn periodic_corpus() -> Vec<(u64, String)> {
+        let mut events = Vec::new();
+        for m in 0..120u64 {
+            for s in 0..6u64 {
+                let n = 2 + ((m + s) % 5) + 4 * u64::from((m + 2 * s) % 12 < 6);
+                for k in 0..n {
+                    let sql = format!("SELECT v{s} FROM periodic_{s} WHERE id = {m}");
+                    events.push((m * 60 + k, sql));
+                }
+            }
+        }
+        events
+    }
+
     #[test]
     fn handle_path_with_tiny_caches_matches_bulk_ingest() {
         let mut rng = Rng(0x5EED_0016);
-        let corpus: Vec<(u64, String)> =
+        let variants: Vec<(u64, String)> =
             (0..900u64).map(|i| (i / 3 + rng.below(5), variant(&mut rng))).collect();
-        let (warm, rest) = corpus.split_at(60);
+        // (corpus, distinct templates, trains): the variant corpus spans
+        // too few bins to train on; the periodic one must train.
+        for (corpus, templates, trains) in [(variants, 12, false), (periodic_corpus(), 6, true)] {
+            let (warm, rest) = corpus.split_at(60);
 
-        let bulk_vfs: DynVfs = Arc::new(MemVfs::new());
-        let mut bulk =
-            ShardedDurable::open_with_vfs(&bulk_vfs, &PathBuf::from("/bulk"), db_cfg(2))
-                .expect("open");
-        let stream_vfs: DynVfs = Arc::new(MemVfs::new());
-        let store =
-            ShardedDurable::open_with_vfs(&stream_vfs, &PathBuf::from("/front"), db_cfg(2))
-                .expect("open");
-        let mut cfg = StreamConfig::from_db(&db_cfg(2));
-        cfg.group_commit = GroupCommitConfig { max_records: 8, max_delay_us: 2_000 };
-        cfg.route_cache_cap = 4;
-        let mut front = StreamFront::new(store, cfg);
-        for shard in 0..2 {
-            front.store_mut().shard_mut(shard).system_mut().set_template_cache_cap(4);
-        }
-
-        // Warm both stores, then move shard 0's templates to shard 1 in
-        // each, so migration overrides are in force for the rest.
-        for (i, (ts, sql)) in warm.iter().enumerate() {
-            bulk.ingest_record(*ts, sql).expect("bulk");
-            front.ingest_event(i as u64 * 10, *ts, sql).expect("stream");
-        }
-        front.flush().expect("barrier");
-        bulk.migrate(0, 1).expect("migrate bulk");
-        front.store_mut().migrate(0, 1).expect("migrate streamed");
-        assert!(!front.store().overrides().is_empty(), "an override is in force");
-        assert_eq!(bulk.overrides(), front.store().overrides());
-
-        for (i, (ts, sql)) in rest.iter().enumerate() {
-            bulk.ingest_record(*ts, sql).expect("bulk");
-            front.ingest_event((60 + i as u64) * 10, *ts, sql).expect("stream");
-        }
-        front.flush().expect("barrier");
-
-        let stats = front.stats();
-        assert!(
-            stats.route_cache_misses > 4 * 12,
-            "a 4-entry route cache reset many times mid-stream: {stats:?}"
-        );
-        let mut streamed = front.into_store().expect("teardown");
-        for shard in 0..2 {
-            // The fingerprint cache is accounted in approx_bytes; drop
-            // it so only what both paths must agree on is compared.
-            let sys = streamed.shard_mut(shard).system_mut();
-            assert!(sys.registry().template_cache_misses() > 12, "registry cache reset too");
-            sys.set_template_cache_cap(0);
-            let (a, b) = (bulk.shard(shard).system().registry(), sys.registry());
-            assert_eq!(a.num_templates(), b.num_templates(), "shard {shard}");
-            assert_eq!(a.approx_bytes(), b.approx_bytes(), "shard {shard}");
-            for id in (0..a.num_templates() as u32).map(TemplateId) {
-                assert_eq!(a.template(id), b.template(id), "shard {shard} {id:?}");
-                assert_eq!(a.count(id), b.count(id), "shard {shard} {id:?}");
-                assert_eq!(a.last_seen(id), b.last_seen(id), "shard {shard} {id:?}");
+            let bulk_vfs: DynVfs = Arc::new(MemVfs::new());
+            let mut bulk =
+                ShardedDurable::open_with_vfs(&bulk_vfs, &PathBuf::from("/bulk"), db_cfg(2))
+                    .expect("open");
+            let stream_vfs: DynVfs = Arc::new(MemVfs::new());
+            let store =
+                ShardedDurable::open_with_vfs(&stream_vfs, &PathBuf::from("/front"), db_cfg(2))
+                    .expect("open");
+            let mut cfg = StreamConfig::from_db(&db_cfg(2));
+            cfg.group_commit = GroupCommitConfig { max_records: 8, max_delay_us: 2_000 };
+            cfg.route_cache_cap = 4;
+            let mut front = StreamFront::new(store, cfg);
+            for shard in 0..2 {
+                front.store_mut().shard_mut(shard).system_mut().set_template_cache_cap(4);
             }
+
+            // Warm both stores, then move shard 0's templates to shard 1
+            // in each, so migration overrides are in force for the rest.
+            for (i, (ts, sql)) in warm.iter().enumerate() {
+                bulk.ingest_record(*ts, sql).expect("bulk");
+                front.ingest_event(i as u64 * 10, *ts, sql).expect("stream");
+            }
+            front.flush().expect("barrier");
+            bulk.migrate(0, 1).expect("migrate bulk");
+            front.store_mut().migrate(0, 1).expect("migrate streamed");
+            assert!(!front.store().overrides().is_empty(), "an override is in force");
+            assert_eq!(bulk.overrides(), front.store().overrides());
+
+            for (i, (ts, sql)) in rest.iter().enumerate() {
+                bulk.ingest_record(*ts, sql).expect("bulk");
+                front.ingest_event((60 + i as u64) * 10, *ts, sql).expect("stream");
+            }
+            front.flush().expect("barrier");
+
+            let stats = front.stats();
+            assert!(
+                stats.route_cache_misses > 4 * templates,
+                "a 4-entry route cache reset many times mid-stream: {stats:?}"
+            );
+            let mut streamed = front.into_store().expect("teardown");
+            let train_end = corpus.iter().map(|(ts, _)| ts + 1).max().expect("events");
+            let (mut registry_misses, mut forecasts) = (0, 0);
+            for shard in 0..2 {
+                // The fingerprint cache is accounted in approx_bytes;
+                // drop it so only what both paths must agree on is
+                // compared.
+                let sys = streamed.shard_mut(shard).system_mut();
+                registry_misses += sys.registry().template_cache_misses();
+                sys.set_template_cache_cap(0);
+                let (a, b) = (bulk.shard(shard).system().registry(), sys.registry());
+                assert_eq!(a.num_templates(), b.num_templates(), "shard {shard}");
+                assert_eq!(a.approx_bytes(), b.approx_bytes(), "shard {shard}");
+                for id in (0..a.num_templates() as u32).map(TemplateId) {
+                    assert_eq!(a.template(id), b.template(id), "shard {shard} {id:?}");
+                    assert_eq!(a.count(id), b.count(id), "shard {shard} {id:?}");
+                    assert_eq!(a.last_seen(id), b.last_seen(id), "shard {shard} {id:?}");
+                }
+
+                // Same registry state must train to the same models:
+                // every cluster forecast agrees bit for bit.
+                let bulk_sys = bulk.shard_mut(shard).system_mut();
+                let trained = bulk_sys.train(0, train_end).is_ok();
+                assert_eq!(sys.train(0, train_end).is_ok(), trained, "shard {shard}");
+                if !trained {
+                    continue;
+                }
+                assert_eq!(bulk_sys.clusters().len(), sys.clusters().len(), "shard {shard}");
+                for c in 0..sys.clusters().len() {
+                    let (x, y) = (bulk_sys.forecast_cluster(c), sys.forecast_cluster(c));
+                    let (x, y) = (x.expect("bulk cluster"), y.expect("streamed cluster"));
+                    assert_eq!(x.to_bits(), y.to_bits(), "shard {shard} cluster {c}");
+                    forecasts += 1;
+                }
+            }
+            assert!(registry_misses > 2 * templates, "registry caches reset too");
+            assert_eq!(forecasts > 0, trains, "{templates}-template corpus");
         }
     }
 

@@ -31,7 +31,5 @@
 //! [`dbaugur_shard::ShardedDurable`].
 
 pub mod front;
-pub mod soak;
 
 pub use front::{MaintainReport, StreamConfig, StreamFront, StreamStats};
-pub use soak::{run_stream_soak, StreamSoakConfig, StreamSoakReport};

@@ -1,7 +1,7 @@
 //! DetSim acceptance: the deterministic-simulation contract, end to
 //! end. Plans round-trip through their text encoding; one plan replays
-//! byte-identically; a pinned schedule with a planted canary bug is
-//! caught by the invariant checkers and shrunk to a ≤5-event
+//! byte-identically; a pinned schedule with either planted canary bug
+//! is caught by the invariant checkers and shrunk to a ≤5-event
 //! reproducer that itself replays exactly; and a small clean swarm —
 //! including a guaranteed ENOSPC-during-migration-under-pressure
 //! compound slot — passes every checker on every tick. The pinned
@@ -14,7 +14,8 @@ use dbaugur_sim::{
     SimPlan, SimReport, SwarmConfig,
 };
 
-/// The swarm seed every gate pins: bench9 and CI run the same stream.
+/// The swarm seed every gate pins: `dbaugur sim swarm` defaults to it,
+/// so CI runs the same stream.
 const SWARM_SEED: u64 = 0xD5_5EED;
 
 #[test]
@@ -43,31 +44,41 @@ fn one_plan_replays_byte_identically() {
 #[test]
 fn pinned_canary_is_caught_shrunk_small_and_replays() {
     // Schedule 0 of the pinned stream trips both planted migration
-    // bugs; the coarse import check manifests as phantom duplication.
+    // bugs: the coarse import check manifests as phantom duplication,
+    // the whole-history drain as a destroyed acknowledged observation.
     let plan = generate_plan(SWARM_SEED, 0);
-    let opts =
-        SimOptions { canary: CanaryBug::CoarseImportCheck, stop_at_first_violation: true };
-    let run = run_plan_with(&plan, &opts);
-    assert!(!run.passed(), "the planted bug must trip a checker");
-    assert_eq!(run.violations[0].check, CheckKind::Phantom);
+    for (canary, check) in [
+        (CanaryBug::CoarseImportCheck, CheckKind::Phantom),
+        (CanaryBug::WholeHistoryDrain, CheckKind::Conservation),
+    ] {
+        let opts = SimOptions { canary, stop_at_first_violation: true };
+        let run = run_plan_with(&plan, &opts);
+        assert!(!run.passed(), "{canary:?}: the planted bug must trip a checker");
+        assert_eq!(run.violations[0].check, check, "{canary:?}");
 
-    let rep = shrink(&plan, &opts).expect("a failing plan shrinks");
-    assert!(
-        rep.to_events <= 5,
-        "reproducer has {} events, acceptance budget is 5",
-        rep.to_events
-    );
-    assert!(rep.to_events <= rep.from_events);
-    assert_eq!(rep.check, CheckKind::Phantom, "the reproducer trips the same checker");
-    let a = run_plan_with(&rep.plan, &opts);
-    let b = run_plan_with(&rep.plan, &opts);
-    assert_eq!(a.digest, b.digest, "the reproducer replays byte-identically");
-    assert!(!a.passed(), "the reproducer still fails");
+        let rep = shrink(&plan, &opts).expect("a failing plan shrinks");
+        assert!(
+            rep.to_events <= 5,
+            "{canary:?}: reproducer has {} events, acceptance budget is 5",
+            rep.to_events
+        );
+        assert!(rep.to_events <= rep.from_events);
+        assert_eq!(rep.check, check, "{canary:?}: the reproducer trips the same checker");
+        let a = run_plan_with(&rep.plan, &opts);
+        let b = run_plan_with(&rep.plan, &opts);
+        assert_eq!(a.digest, b.digest, "{canary:?}: the reproducer replays byte-identically");
+        assert!(!a.passed(), "{canary:?}: the reproducer still fails");
 
-    // Without the canary the same minimal schedule is survivable: the
-    // shrunk plan isolates the planted bug, not an ambient weakness.
-    let clean = run_plan(&rep.plan);
-    assert!(clean.passed(), "reproducer passes once the bug is unplanted: {:?}", clean.violations);
+        // Without the canary the same minimal schedule is survivable:
+        // the shrunk plan isolates the planted bug, not an ambient
+        // weakness.
+        let clean = run_plan(&rep.plan);
+        assert!(
+            clean.passed(),
+            "{canary:?}: reproducer passes once the bug is unplanted: {:?}",
+            clean.violations
+        );
+    }
 }
 
 #[test]
@@ -152,10 +163,14 @@ fn pinned_pressure_plans_hold_the_ceiling_the_books_and_every_acked_observation(
         let plan = SimPlan::parse(text).unwrap_or_else(|e| panic!("{name} parses: {e}"));
         assert_eq!(plan.encode(), text, "{name} is canonically encoded");
         let a = run_plan(&plan);
-        let b = run_plan(&plan);
         // Ceiling, Books and Conservation ran after every tick.
         assert!(a.passed(), "{name} violations: {:?}", a.violations);
-        assert_eq!(a.digest, b.digest, "{name} replays byte-identically");
+        // The CI drill is half this binary's debug wall time; its replay
+        // identity is checked in release by `dbaugur sim replay` in
+        // CI's `sim` job.
+        if name != "pressure_ci" {
+            assert_eq!(a.digest, run_plan(&plan).digest, "{name} replays byte-identically");
+        }
         assert_eq!(a.pending_spills_final, 0, "{name}: pending spills drained after relief");
         expect(&a);
         a
