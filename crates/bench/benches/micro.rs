@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks for the performance-sensitive substrates:
 //! DTW and its lower bounds, Ball-Tree queries, Descender clustering,
-//! one training epoch per neural model, and single-window inference.
+//! one training epoch per neural model, single-window inference, and
+//! both sides of a trained cluster's serving state.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dbaugur::{DbAugur, DbAugurConfig};
 use dbaugur_bench::datasets::Scale;
 use dbaugur_cluster::{Descender, DescenderParams};
 use dbaugur_dtw::{dtw_distance, lb_keogh, BallTree, Distance, DtwDistance};
@@ -123,12 +125,61 @@ fn bench_inference(c: &mut Criterion) {
     g.finish();
 }
 
+/// A request answered from a warm serving state, one that has to fill
+/// it, and feedback re-mixing a warm one.
+fn bench_serving(c: &mut Criterion) {
+    let mut cfg = DbAugurConfig {
+        interval_secs: 60,
+        history: 8,
+        horizon: 1,
+        top_k: 2,
+        ..DbAugurConfig::default()
+    };
+    cfg.clustering.min_size = 1;
+    cfg.fast();
+    let history = cfg.history;
+    let mut sys = DbAugur::new(cfg);
+    for minute in 0..120u64 {
+        for q in 0..2 + 5 * u64::from(minute % 10 < 5) {
+            sys.ingest_record(minute * 60 + q, "SELECT * FROM t WHERE a = 1");
+        }
+    }
+    sys.train(0, 120 * 60).expect("trains");
+    let sql = "SELECT * FROM t WHERE a = 9";
+    let cluster = &sys.clusters()[0];
+    // The one slot is keyed by window length: asking for a shorter
+    // window evicts what the request's length left there.
+    let chill = || cluster.forecast(history - 1);
+
+    let warm = sys.forecast_template(sql).expect("covered");
+    chill();
+    let refilled = sys.forecast_template(sql).expect("covered");
+    assert_eq!(warm.to_bits(), refilled.to_bits(), "a refill serves the same bits");
+
+    let mut g = c.benchmark_group("forecast_template");
+    g.bench_function("warm", |bench| {
+        bench.iter(|| sys.forecast_template(black_box(sql)));
+    });
+    // Two fills an iteration: the eviction's own and the request's.
+    g.bench_function("cold", |bench| {
+        bench.iter(|| {
+            chill();
+            sys.forecast_template(black_box(sql))
+        });
+    });
+    g.finish();
+    c.bench_function("cluster_observe/warm", |bench| {
+        bench.iter(|| cluster.observe(history, black_box(5.0)));
+    });
+}
+
 criterion_group!(
     benches,
     bench_dtw,
     bench_balltree,
     bench_clustering,
     bench_training_epoch,
-    bench_inference
+    bench_inference,
+    bench_serving
 );
 criterion_main!(benches);

@@ -36,7 +36,7 @@ use dbaugur_models::{
     Forecaster, MemberState, MlpForecaster, SeasonalNaive, TcnForecaster, TimeSensitiveEnsemble,
     Wfgan, WfganConfig,
 };
-use dbaugur_sqlproc::{parse_log_stream, StatementHandle, TemplateRegistry};
+use dbaugur_sqlproc::{parse_log_stream, StatementHandle, TemplateId, TemplateRegistry};
 use dbaugur_trace::{fill_gaps, Trace, WindowSpec};
 use std::collections::HashMap;
 use std::fmt;
@@ -245,14 +245,34 @@ pub struct ClusterHealth {
     pub generation: u64,
 }
 
+/// What a cluster serves until the next write that can change it: each
+/// member's prediction for the current input window and their Eqn. 8
+/// mix. Never serialized — a decoded cluster starts cold.
+pub(crate) struct ServingState {
+    /// Length of the representative tail the predictions were made for.
+    take: usize,
+    /// [`TimeSensitiveEnsemble::member_predictions`] for that tail.
+    members: Vec<f64>,
+    /// [`TimeSensitiveEnsemble::mix`] of `members` under the weights of
+    /// the last write.
+    value: f64,
+}
+
 /// One trained representative cluster: the summary (members,
 /// proportions, representative trace) plus its ensemble, behind a lock so
 /// forecasting and error feedback can interleave.
+///
+/// Lock order: `serving` → `ensemble` → `drift` → `recent`.
 pub struct TrainedCluster {
     /// Cluster membership and representative.
     pub summary: ClusterSummary,
     pub(crate) status: ClusterStatus,
     pub(crate) ensemble: RwLock<TimeSensitiveEnsemble>,
+    /// Filled by the first [`Self::forecast`] after a write, re-mixed
+    /// (no inference) by [`Self::observe`], dropped by
+    /// [`DbAugur::install_ensemble`] — the one write that changes
+    /// member output or the input window.
+    pub(crate) serving: RwLock<Option<ServingState>>,
     /// Rolling forecast-error monitor feeding the drift report.
     pub(crate) drift: RwLock<DriftMonitor>,
     /// Bounded buffer of observed actuals since training — the
@@ -265,13 +285,42 @@ pub struct TrainedCluster {
 }
 
 impl TrainedCluster {
+    /// The input window: the last `history` samples of the
+    /// representative, clamped to its length.
+    fn window(&self, history: usize) -> &[f64] {
+        let rep = self.summary.representative.values();
+        &rep[rep.len() - history.min(rep.len())..]
+    }
+
+    /// The serving state for `window`, running member inference only
+    /// when the slot is empty or was filled for another window length.
+    fn warm<'a>(
+        slot: &'a mut Option<ServingState>,
+        ensemble: &TimeSensitiveEnsemble,
+        window: &[f64],
+    ) -> &'a mut ServingState {
+        if !matches!(slot, Some(s) if s.take == window.len()) {
+            let members = ensemble.member_predictions(window);
+            let value = ensemble.mix(window, &members);
+            *slot = Some(ServingState { take: window.len(), members, value });
+        }
+        slot.as_mut().expect("filled above")
+    }
+
     /// Predict the representative's value `horizon` intervals past the
     /// end of its trace. An oversized `history` is clamped to the trace
     /// (the ensemble re-normalizes the window to its fitted length).
+    ///
+    /// Answered from the serving state; only the first call after a
+    /// model install (or for a new `history`) runs the members. Always
+    /// bitwise-equal to [`Self::predict_window`] on the same tail.
     pub fn forecast(&self, history: usize) -> f64 {
-        let rep = self.summary.representative.values();
-        let take = history.min(rep.len());
-        self.ensemble.read().predict(&rep[rep.len() - take..])
+        let window = self.window(history);
+        if let Some(s) = self.serving.read().as_ref().filter(|s| s.take == window.len()) {
+            return s.value;
+        }
+        let mut slot = self.serving.write();
+        Self::warm(&mut slot, &self.ensemble.read(), window).value
     }
 
     /// Like [`Self::forecast`], with empty-representative, non-finite,
@@ -295,28 +344,42 @@ impl TrainedCluster {
     /// Feed back an observed representative-level value so the
     /// time-sensitive weights adapt (Eqn. 7 update) and the drift
     /// monitor sees the forecast-vs-actual gap.
+    ///
+    /// Scores, updates Γ and re-mixes from the one cached member vector
+    /// while holding the serving state exclusively, so a concurrent
+    /// [`Self::forecast`] sees the value before this observation or the
+    /// value after it, never a mix of the two.
     pub fn observe(&self, history: usize, actual: f64) {
-        let rep = self.summary.representative.values();
-        let take = history.min(rep.len());
-        let window = &rep[rep.len() - take..];
-        let predicted = self.ensemble.read().predict(window);
-        self.ensemble.write().observe(window, actual);
-        if actual.is_finite() && predicted.is_finite() {
+        if !actual.is_finite() {
+            // Poisoned feedback moves neither the weights, the drift
+            // monitor nor the retrain buffer.
+            return;
+        }
+        let window = self.window(history);
+        let predicted = {
+            let mut slot = self.serving.write();
+            let mut ensemble = self.ensemble.write();
+            let s = Self::warm(&mut slot, &ensemble, window);
+            let predicted = s.value;
+            ensemble.observe_members(&s.members, actual);
+            s.value = ensemble.mix(window, &s.members);
+            predicted
+        };
+        if predicted.is_finite() {
             self.drift.write().record((actual - predicted).abs(), actual.abs());
         }
-        if actual.is_finite() {
-            let mut recent = self.recent.write();
-            recent.push(actual);
-            let cap = self.recent_cap.max(1);
-            if recent.len() > cap {
-                let excess = recent.len() - cap;
-                recent.drain(..excess);
-            }
+        let mut recent = self.recent.write();
+        recent.push(actual);
+        let cap = self.recent_cap.max(1);
+        if recent.len() > cap {
+            let excess = recent.len() - cap;
+            recent.drain(..excess);
         }
     }
 
     /// Predict from an explicit window (the shadow backtest's probe) —
-    /// no drift gate, no weight update, no lock held across the call.
+    /// no drift gate, no weight update, and never the serving state:
+    /// this is the uncached oracle [`Self::forecast`] is tested against.
     pub fn predict_window(&self, window: &[f64]) -> f64 {
         self.ensemble.read().predict(window)
     }
@@ -357,6 +420,69 @@ impl TrainedCluster {
     }
 }
 
+/// `(cluster index, member position)` of the cluster answering a trace.
+type Slot = (usize, usize);
+
+/// The template a `template:<id>` arrival-trace name stands for.
+fn template_of(name: &str) -> Option<TemplateId> {
+    let digits = name.strip_prefix("template:")?;
+    let id = digits.parse::<u32>().ok()?;
+    // Only the registry's own spelling: `template:007` is a resource
+    // trace somebody named, not template 7.
+    (id.to_string() == digits).then_some(TemplateId(id))
+}
+
+/// Which trained cluster answers which trace, with the first-match
+/// semantics of a linear scan: a name resolves to the *first* trace
+/// carrying it, that trace to the *first* cluster listing it. `None`
+/// values are traces outside every top-K cluster; they are kept so a
+/// later duplicate name cannot answer in their place.
+#[derive(Default)]
+pub(crate) struct ForecastIndex {
+    by_template: HashMap<TemplateId, Option<Slot>>,
+    /// Traces whose name is not a template's (resource traces).
+    by_name: HashMap<String, Option<Slot>>,
+    /// Per cluster, the templates among its members, in member order.
+    cluster_templates: Vec<Vec<TemplateId>>,
+}
+
+impl ForecastIndex {
+    pub(crate) fn build(trace_names: &[String], trained: &[TrainedCluster]) -> Self {
+        let mut slot_of: Vec<Option<Slot>> = vec![None; trace_names.len()];
+        let mut cluster_templates = Vec::with_capacity(trained.len());
+        for (ci, cluster) in trained.iter().enumerate() {
+            let mut templates = Vec::new();
+            for (mp, &g) in cluster.summary.members.iter().enumerate() {
+                let Some(name) = trace_names.get(g) else { continue };
+                if slot_of[g].is_none() {
+                    slot_of[g] = Some((ci, mp));
+                }
+                templates.extend(template_of(name));
+            }
+            cluster_templates.push(templates);
+        }
+        let mut index = Self { cluster_templates, ..Self::default() };
+        for (name, slot) in trace_names.iter().zip(slot_of) {
+            match template_of(name) {
+                Some(id) => index.by_template.entry(id).or_insert(slot),
+                None => index.by_name.entry(name.clone()).or_insert(slot),
+            };
+        }
+        index
+    }
+
+    fn template(&self, id: TemplateId) -> Option<Slot> {
+        self.by_template.get(&id).copied().flatten()
+    }
+
+    fn trace(&self, name: &str) -> Option<Slot> {
+        match template_of(name) {
+            Some(id) => self.template(id),
+            None => self.by_name.get(name).copied().flatten(),
+        }
+    }
+}
+
 /// The DBAugur system.
 pub struct DbAugur {
     pub(crate) cfg: DbAugurConfig,
@@ -366,6 +492,9 @@ pub struct DbAugur {
     /// Names of the traces used at training time, aligned with the
     /// cluster summaries' member indices.
     pub(crate) trace_names: Vec<String>,
+    /// Who answers which trace, derived from `trace_names` and the
+    /// trained summaries whenever those are replaced.
+    pub(crate) index: ForecastIndex,
     /// Cumulative damaged log lines across all ingestion calls.
     pub(crate) skipped_log_lines: usize,
     pub(crate) last_report: Option<ClusterTrainReport>,
@@ -398,6 +527,7 @@ impl DbAugur {
             resources: Vec::new(),
             trained: Vec::new(),
             trace_names: Vec::new(),
+            index: ForecastIndex::default(),
             skipped_log_lines: 0,
             last_report: None,
             applied_seq: 0,
@@ -740,6 +870,7 @@ impl DbAugur {
                     summary,
                     status,
                     ensemble: RwLock::new(ensemble),
+                    serving: RwLock::new(None),
                     drift: RwLock::new(DriftMonitor::new(self.cfg.drift.clone())),
                     recent: RwLock::new(Vec::new()),
                     recent_cap: self.cfg.recent_cap,
@@ -747,6 +878,7 @@ impl DbAugur {
                 }
             })
             .collect();
+        self.index = ForecastIndex::build(&self.trace_names, &self.trained);
 
         let report = ClusterTrainReport {
             clusters,
@@ -780,75 +912,44 @@ impl DbAugur {
         self.trained.get(i).map(|c| c.forecast(self.cfg.history))
     }
 
+    /// The templates among cluster `i`'s members, in member order — the
+    /// arrival counts whose mean is the cluster's representative-level
+    /// actual. Empty for an unknown index.
+    pub fn cluster_templates(&self, i: usize) -> &[TemplateId] {
+        self.index.cluster_templates.get(i).map_or(&[], Vec::as_slice)
+    }
+
+    /// The cluster-level forecast projected through one member's volume
+    /// proportion: the one place a resolved trace becomes an answer.
+    fn forecast_slot(&self, (cluster, member_pos): Slot) -> f64 {
+        let c = &self.trained[cluster];
+        c.summary.project(member_pos, c.forecast(self.cfg.history))
+    }
+
     /// Forecast a specific trace by name, projecting the cluster-level
     /// prediction through the trace's volume proportion. `None` when the
     /// trace is unknown or fell outside the top-K clusters.
     pub fn forecast_trace(&self, name: &str) -> Option<f64> {
-        let global_idx = self.trace_names.iter().position(|n| n == name)?;
-        for cluster in &self.trained {
-            if let Some(member_pos) =
-                cluster.summary.members.iter().position(|&m| m == global_idx)
-            {
-                let cluster_pred = cluster.forecast(self.cfg.history);
-                return Some(cluster.summary.project(member_pos, cluster_pred));
-            }
-        }
-        None
+        self.index.trace(name).map(|slot| self.forecast_slot(slot))
+    }
+
+    /// Forecast the arrival rate of a registered template; `None` when
+    /// it was unseen at training time or fell outside the top-K clusters.
+    pub fn forecast_template_id(&self, id: TemplateId) -> Option<f64> {
+        self.index.template(id).map(|slot| self.forecast_slot(slot))
     }
 
     /// Forecast the arrival rate of the template matching `sql`
     /// (canonicalized), `None` for unseen templates.
     pub fn forecast_template(&self, sql: &str) -> Option<f64> {
-        let id = self.registry.lookup(sql)?;
-        self.forecast_trace(&format!("template:{}", id.0))
+        self.forecast_template_id(self.registry.lookup(sql)?)
     }
 
-    /// Batched [`Self::forecast_template`]: N statements resolved in one
-    /// pass, with each touched cluster's ensemble evaluated **once** and
-    /// the projection fanned out per member — K ensemble forward passes
-    /// for N templates instead of N. Element `i` is bitwise-equal to
-    /// `self.forecast_template(sqls[i])`: the name and cluster indices
-    /// below reproduce `forecast_trace`'s first-match semantics, and
-    /// `TrainedCluster::forecast` is deterministic for a fixed state, so
-    /// memoizing it cannot change any answer.
+    /// [`Self::forecast_template`] for each statement in turn. Every
+    /// cluster answers from its serving state, so N statements cost at
+    /// most one ensemble pass per touched cluster.
     pub fn forecast_template_batch(&self, sqls: &[&str]) -> Vec<Option<f64>> {
-        if sqls.is_empty() {
-            return Vec::new();
-        }
-        // name → first global trace index (forecast_trace's `position`).
-        let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(self.trace_names.len());
-        for (idx, name) in self.trace_names.iter().enumerate() {
-            by_name.entry(name.as_str()).or_insert(idx);
-        }
-        // global index → first (cluster, member position) holding it.
-        let mut slot: Vec<Option<(usize, usize)>> = vec![None; self.trace_names.len()];
-        for (ci, cluster) in self.trained.iter().enumerate() {
-            for (mp, &g) in cluster.summary.members.iter().enumerate() {
-                if let Some(s) = slot.get_mut(g) {
-                    if s.is_none() {
-                        *s = Some((ci, mp));
-                    }
-                }
-            }
-        }
-        let mut cluster_pred: Vec<Option<f64>> = vec![None; self.trained.len()];
-        sqls.iter()
-            .map(|sql| {
-                let id = self.registry.lookup(sql)?;
-                let name = format!("template:{}", id.0);
-                let global_idx = *by_name.get(name.as_str())?;
-                let (ci, mp) = slot[global_idx]?;
-                let pred = match cluster_pred[ci] {
-                    Some(p) => p,
-                    None => {
-                        let p = self.trained[ci].forecast(self.cfg.history);
-                        cluster_pred[ci] = Some(p);
-                        p
-                    }
-                };
-                Some(self.trained[ci].summary.project(mp, pred))
-            })
-            .collect()
+        sqls.iter().map(|sql| self.forecast_template(sql)).collect()
     }
 
     /// Serving-time health of every trained cluster: training status
@@ -949,6 +1050,9 @@ impl DbAugur {
                 Trace::new(rep.name.clone(), rep.kind, rep.interval_secs, values);
         }
         let (status, detail) = classify(&ensemble, None);
+        // New members, and possibly a new input window: what was served
+        // before says nothing about what is served now.
+        *c.serving.get_mut() = None;
         *c.ensemble.get_mut() = ensemble;
         *c.drift.get_mut() = DriftMonitor::new(drift_cfg);
         c.status = status.clone();
@@ -1104,6 +1208,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use dbaugur_trace::TraceKind;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_cfg() -> DbAugurConfig {
         let mut cfg = DbAugurConfig {
@@ -1142,31 +1248,233 @@ mod tests {
         assert!(sys.forecast_template("SELECT unknown FROM nowhere").is_none());
     }
 
+    /// `forecast_trace` as it was before the index: a linear scan for
+    /// the first trace with that name, then for the first cluster
+    /// listing it, answered by the uncached oracle.
+    fn scan_forecast_trace(sys: &DbAugur, name: &str) -> Option<f64> {
+        let g = sys.trace_names.iter().position(|n| n == name)?;
+        sys.trained.iter().find_map(|c| {
+            let mp = c.summary.members.iter().position(|&m| m == g)?;
+            Some(c.summary.project(mp, c.predict_window(c.window(sys.cfg.history))))
+        })
+    }
+
     #[test]
     fn forecast_template_batch_matches_looped_calls_bitwise() {
-        let mut sys = DbAugur::new(tiny_cfg());
+        let mut cfg = tiny_cfg();
+        cfg.top_k = 2;
+        let mut sys = DbAugur::new(cfg);
         feed_periodic(&mut sys, "SELECT * FROM bus WHERE route = 1", 120, 10, 6);
         feed_periodic(&mut sys, "SELECT name FROM stop WHERE id = 2", 120, 14, 3);
         feed_periodic(&mut sys, "UPDATE fare SET price = 3 WHERE zone = 4", 120, 7, 2);
+        feed_periodic(&mut sys, "DELETE FROM trip WHERE day = 5", 120, 30, 1);
+        // Names the resolver must not confuse: a duplicate, a resource
+        // trace squatting on an arrival trace's name, and one that only
+        // looks like a template's.
+        let wave = |k: usize| (0..120).map(|i| 0.3 + 0.1 * ((i % k) as f64)).collect::<Vec<_>>();
+        let squatters = [("cpu:host1", 5), ("cpu:host1", 9), ("template:0", 4), ("template:007", 6)];
+        for (name, k) in squatters {
+            sys.add_resource_trace(Trace::new(name, TraceKind::Resource, 60, wave(k)));
+        }
         sys.train(0, 120 * 60).expect("trains");
+
+        let mut names = sys.trace_names.clone();
+        names.push("no:such:trace".into());
+        for name in &names {
+            assert_eq!(
+                sys.forecast_trace(name).map(f64::to_bits),
+                scan_forecast_trace(&sys, name).map(f64::to_bits),
+                "indexed resolver diverged from the first-match scan for {name}"
+            );
+        }
+
         let sqls = [
             "SELECT * FROM bus WHERE route = 777",
             "SELECT name FROM stop WHERE id = 9",
             "SELECT unknown FROM nowhere",
             "UPDATE fare SET price = 8 WHERE zone = 1",
-            // Repeats hit the memoized cluster prediction.
+            "DELETE FROM trip WHERE day = 1",
+            // A repeat is answered from the same serving state.
             "SELECT * FROM bus WHERE route = 2",
         ];
         let batched = sys.forecast_template_batch(&sqls);
         assert_eq!(batched.len(), sqls.len());
         for (sql, b) in sqls.iter().zip(&batched) {
-            let single = sys.forecast_template(sql);
+            let scanned = sys
+                .registry
+                .lookup(sql)
+                .and_then(|id| scan_forecast_trace(&sys, &format!("template:{}", id.0)));
+            assert_eq!(b.map(f64::to_bits), scanned.map(f64::to_bits), "batch vs scan for {sql}");
             assert_eq!(
-                single.map(f64::to_bits),
                 b.map(f64::to_bits),
-                "batched forecast diverged for {sql}"
+                sys.forecast_template(sql).map(f64::to_bits),
+                "batch vs single call for {sql}"
             );
         }
+        assert_eq!(batched[2], None, "an unknown statement has no forecast");
+        let registered = [0, 1, 3, 4].map(|i| batched[i]);
+        assert!(registered.iter().any(Option::is_some), "some template is covered");
+        assert!(
+            registered.iter().any(Option::is_none),
+            "top_k = 2 leaves a registered template without a cluster: {registered:?}"
+        );
+    }
+
+    /// The uncached answer for the last `h` samples of the representative.
+    fn oracle(c: &TrainedCluster, h: usize) -> u64 {
+        c.predict_window(c.window(h)).to_bits()
+    }
+
+    /// Every cluster serves, for two window lengths, exactly what the
+    /// uncached oracle and a freshly decoded (cold) twin compute. The
+    /// one slot is keyed by window length, so `first` must be the
+    /// length the previous call left it on: that read is the one a
+    /// stale slot would answer; the other length is a cold fill.
+    fn assert_serves_oracle(sys: &mut DbAugur, first: usize, step: &str) -> usize {
+        let bytes = sys.encode_snapshot();
+        let cold = DbAugur::decode_snapshot(sys.cfg.clone(), &bytes).expect("own snapshot decodes");
+        let other = if first == 5 { sys.cfg.history } else { 5 };
+        for (i, (c, twin)) in sys.trained.iter().zip(&cold.trained).enumerate() {
+            for h in [first, other] {
+                let served = c.forecast(h).to_bits();
+                assert_eq!(served, oracle(c, h), "cluster {i} h={h} vs oracle after {step}");
+                assert_eq!(
+                    served,
+                    twin.forecast(h).to_bits(),
+                    "cluster {i} h={h} vs cold twin after {step}"
+                );
+            }
+        }
+        other
+    }
+
+    #[test]
+    fn serving_state_equals_oracle_under_every_write() {
+        for seed in [3u64, 17] {
+            let mut sys = DbAugur::new(tiny_cfg());
+            feed_periodic(&mut sys, "SELECT * FROM bus WHERE route = 1", 120, 10, 6);
+            feed_periodic(&mut sys, "SELECT name FROM stop WHERE id = 2", 120, 14, 3);
+            sys.train(0, 120 * 60).expect("trains");
+            let sqls = ["SELECT * FROM bus WHERE route = 4", "SELECT name FROM stop WHERE id = 8"];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ran = [0usize; 8];
+            let (mut quarantined_a_member, mut install_moved_the_answer) = (false, false);
+            let mut keyed = assert_serves_oracle(&mut sys, 5, "train");
+            for step in 0..40 {
+                let i = rng.gen_range(0..sys.trained.len());
+                let h = [sys.cfg.history, 5][rng.gen_range(0..2usize)];
+                // Pinned late, so the retrains before it fit on sane
+                // feedback: every seed quarantines members while a warm
+                // serving state is watching.
+                let op = if step == 32 { 4 } else { rng.gen_range(0..8usize) };
+                ran[op] += 1;
+                let before = sys.trained[i].forecast(keyed).to_bits();
+                match op {
+                    0 => {
+                        sys.trained[i].forecast(h);
+                    }
+                    1 => {
+                        sys.forecast_template(sqls[rng.gen_range(0..2usize)]);
+                    }
+                    2 => {
+                        let f = sys.trained[i].forecast(h);
+                        sys.trained[i].observe(h, f * 1.5 + 3.0 + f64::from(rng.gen_range(0..7u32)));
+                    }
+                    3 => {
+                        let poison = [f64::NAN, f64::INFINITY][rng.gen_range(0..2usize)];
+                        sys.trained[i].observe(h, poison);
+                    }
+                    4 => {
+                        // (actual − p)² overflows: Γ goes non-finite and
+                        // every active member is quarantined.
+                        sys.trained[i].observe(h, 1e200);
+                        quarantined_a_member |=
+                            sys.trained[i].member_states().iter().any(|m| m.quarantined);
+                    }
+                    5 => {
+                        if sys.retrain_cluster(i).is_ok() {
+                            install_moved_the_answer |= oracle(&sys.trained[i], keyed) != before;
+                        }
+                    }
+                    6 => {
+                        // Rollback shape: an ensemble installed at an
+                        // explicit, lower generation.
+                        let series = sys.cluster_series(i).expect("cluster exists");
+                        if let Ok(e) =
+                            train_challenger(&sys.cfg, &series, &sys.exec, &Deadline::none())
+                        {
+                            let gen = sys.trained[i].generation.saturating_sub(1);
+                            sys.install_ensemble(i, e, gen);
+                            install_moved_the_answer |= oracle(&sys.trained[i], keyed) != before;
+                        }
+                    }
+                    _ => {
+                        let bytes = sys.encode_snapshot();
+                        sys = DbAugur::decode_snapshot(sys.cfg.clone(), &bytes).expect("decodes");
+                    }
+                }
+                // An op that asked for another length re-keyed the slot.
+                match op {
+                    0 | 2 | 4 => keyed = h,
+                    1 => keyed = sys.cfg.history,
+                    _ => {}
+                }
+                let step = format!("seed {seed} step {step} op {op}");
+                keyed = assert_serves_oracle(&mut sys, keyed, &step);
+            }
+            assert!(ran.iter().all(|&n| n > 0), "seed {seed} skipped an op: {ran:?}");
+            assert!(quarantined_a_member, "seed {seed}: 1e200 quarantined nothing");
+            assert!(install_moved_the_answer, "seed {seed}: no install changed a forecast");
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_see_only_sequential_values() {
+        const K: usize = 8;
+        const READERS: usize = 2;
+        let mut sys = DbAugur::new(tiny_cfg());
+        feed_periodic(&mut sys, "SELECT * FROM t WHERE a = 1", 120, 10, 5);
+        sys.train(0, 120 * 60).expect("trains");
+        let h = sys.cfg.history;
+        let actual = |k: usize| 4.0 + 3.0 * k as f64;
+
+        // The K + 1 values a sequential run serves, on a twin.
+        let bytes = sys.encode_snapshot();
+        let twin = DbAugur::decode_snapshot(sys.cfg.clone(), &bytes).expect("decodes");
+        let mut sequential = vec![twin.trained[0].forecast(h).to_bits()];
+        for k in 0..K {
+            twin.trained[0].observe(h, actual(k));
+            sequential.push(twin.trained[0].forecast(h).to_bits());
+        }
+
+        let c = &sys.trained[0];
+        assert_eq!(c.forecast(h).to_bits(), sequential[0], "warm before the race");
+        // One barrier per observation: the writer's k-th observe runs
+        // while every reader is inside its k-th burst of forecasts.
+        let round = std::sync::Barrier::new(READERS + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    let mut at = 0usize;
+                    for _ in 0..K {
+                        round.wait();
+                        for _ in 0..2_000 {
+                            let v = c.forecast(h).to_bits();
+                            let ahead = sequential[at..].iter().position(|&s| s == v);
+                            at += ahead.unwrap_or_else(|| {
+                                panic!("{v:#x} is no sequential value at or after step {at}")
+                            });
+                        }
+                    }
+                });
+            }
+            for k in 0..K {
+                round.wait();
+                c.observe(h, actual(k));
+            }
+        });
+        assert_eq!(c.forecast(h).to_bits(), sequential[K], "after join: the last sequential value");
+        assert_eq!(c.forecast(h).to_bits(), oracle(c, h));
     }
 
     #[test]

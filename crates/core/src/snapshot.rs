@@ -27,7 +27,9 @@
 use crate::config::DbAugurConfig;
 use crate::drift::DriftMonitor;
 use crate::vfs::{real_vfs, DynVfs};
-use crate::pipeline::{fallback_season, make_ensemble, ClusterStatus, DbAugur, TrainedCluster};
+use crate::pipeline::{
+    fallback_season, make_ensemble, ClusterStatus, DbAugur, ForecastIndex, TrainedCluster,
+};
 use crate::sync::RwLock;
 use dbaugur_cluster::ClusterSummary;
 use dbaugur_models::{EnsembleSnapshot, Forecaster, SeasonalNaive, TimeSensitiveEnsemble};
@@ -406,6 +408,7 @@ impl DbAugur {
                 summary,
                 status,
                 ensemble: RwLock::new(ensemble),
+                serving: RwLock::new(None),
                 drift: RwLock::new(drift),
                 recent: RwLock::new(recent),
                 recent_cap: cfg.recent_cap,
@@ -418,6 +421,7 @@ impl DbAugur {
         let mut sys = DbAugur::new(cfg);
         sys.registry = registry;
         sys.resources = resources;
+        sys.index = ForecastIndex::build(&trace_names, &trained);
         sys.trace_names = trace_names;
         sys.skipped_log_lines = skipped_log_lines;
         sys.applied_seq = applied_seq;

@@ -339,10 +339,77 @@ impl TimeSensitiveEnsemble {
         self.members.iter().map(|m| m.name()).collect()
     }
 
-    /// Per-member predictions (for the harness's diagnostics).
+    /// The inference half of [`Forecaster::predict`]: every active
+    /// member's prediction for `window`, aligned with the roster. A
+    /// quarantined member is not evaluated (it may never have been
+    /// fitted) and reports NaN. Member output depends only on the fitted
+    /// parameters and the window, so the vector stays valid across any
+    /// number of [`Self::mix`] / [`Self::observe_members`] calls.
     pub fn member_predictions(&self, window: &[f64]) -> Vec<f64> {
         let w = self.adapt_window(window);
-        self.members.iter().map(|m| m.predict(&w)).collect()
+        self.members
+            .iter()
+            .zip(&self.quarantined)
+            .map(|(m, &q)| if q { f64::NAN } else { m.predict(&w) })
+            .collect()
+    }
+
+    /// The mixing half of [`Forecaster::predict`]: Eqn. 8 over
+    /// `member_preds` (as returned by [`Self::member_predictions`] for
+    /// the same `window`) under the *current* weights and quarantine
+    /// flags — no member inference.
+    pub fn mix(&self, window: &[f64], member_preds: &[f64]) -> f64 {
+        let weights = self.weights();
+        let mut acc = 0.0;
+        let mut wsum = 0.0;
+        for (i, &p) in member_preds.iter().enumerate() {
+            // A transiently non-finite member is skipped for this call;
+            // `observe` is where it gets quarantined for good.
+            if !self.quarantined[i] && p.is_finite() {
+                acc += weights[i] * p;
+                wsum += weights[i];
+            }
+        }
+        if wsum > 0.0 {
+            return acc / wsum;
+        }
+        // Every member is out: serve the seasonal-naive floor. Before
+        // the first fit the fallback has no spec, so skip straight to
+        // the last-value floor.
+        let window = self.adapt_window(window);
+        let p = if self.history == 0 { f64::NAN } else { self.fallback.predict(&window) };
+        if p.is_finite() {
+            p
+        } else {
+            window.last().copied().unwrap_or(0.0)
+        }
+    }
+
+    /// The update half of [`Forecaster::observe`]: fold `actual` into
+    /// each active member's forecasting distance (Eqn. 7) given that
+    /// member's prediction, quarantining members whose prediction or
+    /// distance is non-finite. A non-finite `actual` changes nothing.
+    pub fn observe_members(&mut self, member_preds: &[f64], actual: f64) {
+        if !actual.is_finite() {
+            // Poisoned feedback must not corrupt the error histories.
+            return;
+        }
+        for (i, &p) in member_preds.iter().enumerate() {
+            if self.quarantined[i] {
+                continue;
+            }
+            if !p.is_finite() {
+                self.quarantine_member(i, format!("non-finite prediction {p}"));
+                continue;
+            }
+            let e = (actual - p) * (actual - p);
+            let g = self.delta * self.gamma[i] + e;
+            if g.is_finite() {
+                self.gamma[i] = g;
+            } else {
+                self.quarantine_member(i, format!("non-finite forecasting distance {g}"));
+            }
+        }
     }
 
     /// Per-member health/quarantine snapshot.
@@ -515,34 +582,7 @@ impl Forecaster for TimeSensitiveEnsemble {
     }
 
     fn predict(&self, window: &[f64]) -> f64 {
-        let window = self.adapt_window(window);
-        let weights = self.weights();
-        let mut acc = 0.0;
-        let mut wsum = 0.0;
-        for (i, m) in self.members.iter().enumerate() {
-            if self.quarantined[i] {
-                continue;
-            }
-            let p = m.predict(&window);
-            // A transiently non-finite member is skipped for this call;
-            // `observe` is where it gets quarantined for good.
-            if p.is_finite() {
-                acc += weights[i] * p;
-                wsum += weights[i];
-            }
-        }
-        if wsum > 0.0 {
-            return acc / wsum;
-        }
-        // Every member is out: serve the seasonal-naive floor. Before
-        // the first fit the fallback has no spec, so skip straight to
-        // the last-value floor.
-        let p = if self.history == 0 { f64::NAN } else { self.fallback.predict(&window) };
-        if p.is_finite() {
-            p
-        } else {
-            window.last().copied().unwrap_or(0.0)
-        }
+        self.mix(window, &self.member_predictions(window))
     }
 
     fn predict_batch(&self, windows: &[&[f64]]) -> Vec<f64> {
@@ -551,11 +591,9 @@ impl Forecaster for TimeSensitiveEnsemble {
         }
         let adapted: Vec<Cow<[f64]>> = windows.iter().map(|w| self.adapt_window(w)).collect();
         let refs: Vec<&[f64]> = adapted.iter().map(|w| w.as_ref()).collect();
-        let weights = self.weights();
         // Each live member answers the whole batch in one forward pass;
-        // the per-window mixing then walks members in the same order as
-        // `predict`, so every output is bitwise-identical to a loop of
-        // single-window calls.
+        // every window is then mixed by the same `mix` as `predict`, so
+        // each output is bitwise-identical to a single-window call.
         let member_preds: Vec<Option<Vec<f64>>> = self
             .members
             .iter()
@@ -564,56 +602,19 @@ impl Forecaster for TimeSensitiveEnsemble {
             .collect();
         (0..windows.len())
             .map(|t| {
-                let mut acc = 0.0;
-                let mut wsum = 0.0;
-                for (i, preds) in member_preds.iter().enumerate() {
-                    if let Some(preds) = preds {
-                        let p = preds[t];
-                        if p.is_finite() {
-                            acc += weights[i] * p;
-                            wsum += weights[i];
-                        }
-                    }
-                }
-                if wsum > 0.0 {
-                    return acc / wsum;
-                }
-                let p = if self.history == 0 {
-                    f64::NAN
-                } else {
-                    self.fallback.predict(refs[t])
-                };
-                if p.is_finite() {
-                    p
-                } else {
-                    refs[t].last().copied().unwrap_or(0.0)
-                }
+                let column: Vec<f64> = member_preds
+                    .iter()
+                    .map(|preds| preds.as_ref().map_or(f64::NAN, |p| p[t]))
+                    .collect();
+                self.mix(refs[t], &column)
             })
             .collect()
     }
 
     fn observe(&mut self, window: &[f64], actual: f64) {
-        if !actual.is_finite() {
-            // Poisoned feedback must not corrupt the error histories.
-            return;
-        }
-        let window = self.adapt_window(window).into_owned();
-        for i in 0..self.members.len() {
-            if self.quarantined[i] {
-                continue;
-            }
-            let p = self.members[i].predict(&window);
-            if !p.is_finite() {
-                self.quarantine_member(i, format!("non-finite prediction {p}"));
-                continue;
-            }
-            let e = (actual - p) * (actual - p);
-            let g = self.delta * self.gamma[i] + e;
-            if g.is_finite() {
-                self.gamma[i] = g;
-            } else {
-                self.quarantine_member(i, format!("non-finite forecasting distance {g}"));
-            }
+        if actual.is_finite() {
+            let preds = self.member_predictions(window);
+            self.observe_members(&preds, actual);
         }
     }
 

@@ -6,7 +6,10 @@ use dbaugur_trace::WindowSpec;
 /// A single-trace forecaster (paper Definition 4): observes a history
 /// window of length `spec.history` and predicts the value
 /// `spec.horizon` intervals past the window's end.
-pub trait Forecaster: Send {
+///
+/// `Sync` because `predict` takes `&self`: a fitted model behind a
+/// reader-writer lock is read by concurrent forecasts.
+pub trait Forecaster: Send + Sync {
     /// Short display name (matches the labels of the paper's figures).
     fn name(&self) -> &'static str;
 

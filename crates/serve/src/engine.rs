@@ -9,7 +9,7 @@
 use dbaugur::{DbAugur, DurabilityCounters};
 use dbaugur_exec::Deadline;
 use dbaugur_lifecycle::{LifecycleManager, LifecycleTickReport};
-use dbaugur_sqlproc::canonicalize;
+use dbaugur_sqlproc::{canonicalize, TemplateId};
 use dbaugur_trace::HistoryRing;
 use std::collections::HashMap;
 
@@ -20,17 +20,6 @@ pub trait Engine {
 
     /// A full-quality forecast for the statement's template.
     fn forecast(&mut self, sql: &str) -> f64;
-
-    /// Forecast a run of statements at once. The contract is strict:
-    /// element `i` must equal what `self.forecast(sqls[i])` would have
-    /// returned at that point in a sequential loop, including every
-    /// side effect (floor updates) in the same order — batching may
-    /// only change how many kernel invocations the answers cost. The
-    /// default is that sequential loop; engines with a batched pipeline
-    /// underneath override it.
-    fn forecast_batch(&mut self, sqls: &[&str]) -> Vec<f64> {
-        sqls.iter().map(|s| self.forecast(s)).collect()
-    }
 
     /// The O(1) degraded answer (seasonal-naive floor) served when the
     /// deadline expired before [`Engine::forecast`] could run.
@@ -192,7 +181,7 @@ impl Engine for SimEngine {
 /// the latest spill blob retained so evicted history stays recallable.
 pub struct PipelineEngine {
     sys: DbAugur,
-    floors: HashMap<String, f64>,
+    floors: HashMap<TemplateId, f64>,
     last_spill: Option<Vec<u8>>,
     lifecycle: Option<(LifecycleManager, u64)>,
     last_maintenance: Option<LifecycleTickReport>,
@@ -251,33 +240,21 @@ impl Engine for PipelineEngine {
     }
 
     fn forecast(&mut self, sql: &str) -> f64 {
-        let v = self.sys.forecast_template(sql).unwrap_or(0.0);
+        // One lookup feeds both the answer and the floor key. A
+        // statement the registry has never seen answers 0.0 and leaves
+        // nothing behind, so the floor table is bounded by the registry.
+        let Some(id) = self.sys.registry().lookup(sql) else {
+            return 0.0;
+        };
+        let v = self.sys.forecast_template_id(id).unwrap_or(0.0);
         let v = if v.is_finite() { v } else { 0.0 };
-        self.floors.insert(canonicalize(sql), v);
+        self.floors.insert(id, v);
         v
     }
 
-    fn forecast_batch(&mut self, sqls: &[&str]) -> Vec<f64> {
-        // One pipeline pass for the whole run: each touched cluster's
-        // ensemble is evaluated once instead of once per statement.
-        // `forecast_template` never mutates the pipeline, so batching
-        // it is invisible; the floor inserts below happen in the same
-        // order a sequential loop would produce.
-        self.sys
-            .forecast_template_batch(sqls)
-            .into_iter()
-            .zip(sqls)
-            .map(|(v, sql)| {
-                let v = v.unwrap_or(0.0);
-                let v = if v.is_finite() { v } else { 0.0 };
-                self.floors.insert(canonicalize(sql), v);
-                v
-            })
-            .collect()
-    }
-
     fn floor(&mut self, sql: &str) -> f64 {
-        self.floors.get(&canonicalize(sql)).copied().unwrap_or(0.0)
+        let id = self.sys.registry().lookup(sql);
+        id.and_then(|id| self.floors.get(&id)).copied().unwrap_or(0.0)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -357,6 +334,44 @@ mod tests {
         // The evicted template comes back on its next arrival.
         e.ingest(200, "SELECT cold FROM u");
         assert_eq!(e.forecast("SELECT cold FROM u"), 1.0);
+    }
+
+    #[test]
+    fn pipeline_floors_are_keyed_by_template_and_bounded_by_the_registry() {
+        let mut cfg = dbaugur::DbAugurConfig {
+            interval_secs: 60,
+            history: 8,
+            horizon: 1,
+            top_k: 2,
+            ..Default::default()
+        };
+        cfg.clustering.min_size = 1;
+        cfg.fast();
+        let mut sys = DbAugur::new(cfg);
+        for minute in 0..120u64 {
+            for q in 0..2 + 5 * u64::from(minute % 10 < 5) {
+                sys.ingest_record(minute * 60 + q, "SELECT * FROM t WHERE a = 1");
+            }
+        }
+        sys.train(0, 120 * 60).expect("trains");
+        let mut e = PipelineEngine::new(sys);
+
+        assert_eq!(e.floor("SELECT * FROM t WHERE a = 2"), 0.0, "no fresh answer yet");
+        let fresh = e.forecast("SELECT * FROM t WHERE a = 3");
+        assert!(fresh.is_finite() && fresh != 0.0, "a trained template answers: {fresh}");
+        assert_eq!(e.floors.len(), 1);
+
+        for i in 0..10_000 {
+            let sql = format!("SELECT c{i} FROM never_seen_{i} WHERE x = {i}");
+            assert_eq!(e.forecast(&sql), 0.0);
+            assert_eq!(e.floor(&sql), 0.0);
+        }
+        assert_eq!(e.floors.len(), 1, "unregistered statements leave nothing behind");
+        assert_eq!(
+            e.floor("SELECT * FROM t WHERE a = 4").to_bits(),
+            fresh.to_bits(),
+            "the floor is the template's last fresh answer"
+        );
     }
 
     #[test]

@@ -375,20 +375,9 @@ impl<E: Engine, C: Clock> Governor<E, C> {
         // Priority class 1: forecasts. An expired request is answered
         // with the floor (O(1), no budget charge worth modeling); a
         // live one runs fully if the budget allows, else waits.
-        //
-        // Consecutive live answers are accumulated and served through
-        // one `Engine::forecast_batch` call — the batched pipeline
-        // underneath turns a run of N statements into one forward pass
-        // per touched cluster. Only *consecutive* runs may batch: a
-        // floor answer reads the floors an earlier fresh forecast in
-        // the same tick wrote, so every degraded serve flushes the
-        // pending run first, keeping results byte-identical to the
-        // one-at-a-time loop (the served-value digest checks this).
-        let mut fresh_run: Vec<(String, u64)> = Vec::new();
         while let Some(req) = self.forecasts.pop() {
             let now = self.clock.now_ms();
             if now >= req.deadline_ms {
-                self.flush_fresh_run(&mut fresh_run, &mut report);
                 let v = self.engine.floor(&req.sql);
                 self.record_forecast(ForecastOutcome::DegradedFloor(v), now - req.submitted_ms);
                 report.served_degraded += 1;
@@ -403,17 +392,15 @@ impl<E: Engine, C: Clock> Governor<E, C> {
             if done > req.deadline_ms {
                 // The work ran but finished late: serve the floor and
                 // say so, never a silently-late "fresh" answer.
-                self.flush_fresh_run(&mut fresh_run, &mut report);
                 let v = self.engine.floor(&req.sql);
                 self.record_forecast(ForecastOutcome::DegradedFloor(v), done - req.submitted_ms);
                 report.served_degraded += 1;
             } else {
-                // The clock charge is booked now; the engine call is
-                // deferred into the batch.
-                fresh_run.push((req.sql, done - req.submitted_ms));
+                let v = self.engine.forecast(&req.sql);
+                self.record_forecast(ForecastOutcome::Fresh(v), done - req.submitted_ms);
+                report.served_fresh += 1;
             }
         }
-        self.flush_fresh_run(&mut fresh_run, &mut report);
 
         // Priority class 2: bulk ingest, with whatever budget remains.
         while let Some(req) = self.ingests.pop() {
@@ -477,25 +464,6 @@ impl<E: Engine, C: Clock> Governor<E, C> {
         };
         report.health = self.health;
         report
-    }
-
-    /// Serve an accumulated run of live forecasts through one batched
-    /// engine call. Every answer and side effect matches serving the
-    /// run one request at a time (the [`Engine::forecast_batch`]
-    /// contract); each request's latency was fixed when its clock time
-    /// was charged in `run_tick`, before the batch formed.
-    fn flush_fresh_run(&mut self, run: &mut Vec<(String, u64)>, report: &mut TickReport) {
-        if run.is_empty() {
-            return;
-        }
-        let values = {
-            let sqls: Vec<&str> = run.iter().map(|(sql, _)| sql.as_str()).collect();
-            self.engine.forecast_batch(&sqls)
-        };
-        for ((_, latency), v) in run.drain(..).zip(values) {
-            self.record_forecast(ForecastOutcome::Fresh(v), latency);
-            report.served_fresh += 1;
-        }
     }
 
     fn record_forecast(&mut self, outcome: ForecastOutcome, latency_ms: u64) {

@@ -371,22 +371,14 @@ impl StreamFront {
                 self.stats.cluster_points += 1;
                 report.assigned += 1;
             }
-            for cluster in sys.clusters() {
-                let mut sum = 0.0;
-                let mut members = 0usize;
-                for &g in &cluster.summary.members {
-                    let Some(name) = sys.trace_name(g) else { continue };
-                    let Some(id) = name
-                        .strip_prefix("template:")
-                        .and_then(|s| s.parse::<u32>().ok())
-                    else {
-                        continue;
-                    };
-                    sum += registry.arrivals_between(TemplateId(id), start, end) as f64;
-                    members += 1;
-                }
-                if members > 0 {
-                    cluster.observe(sys.config().history, sum / members as f64);
+            for (ci, cluster) in sys.clusters().iter().enumerate() {
+                let templates = sys.cluster_templates(ci);
+                if !templates.is_empty() {
+                    let sum: f64 = templates
+                        .iter()
+                        .map(|&id| registry.arrivals_between(id, start, end) as f64)
+                        .sum();
+                    cluster.observe(sys.config().history, sum / templates.len() as f64);
                     self.stats.feedback_observations += 1;
                     report.feedback += 1;
                 }

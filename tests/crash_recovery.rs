@@ -309,6 +309,48 @@ fn full_snapshot_roundtrip_preserves_counts_and_forecasts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn warm_serving_state_is_not_persisted_and_recovery_serves_the_same_bits() {
+    let dir = tmpdir("warm_cache");
+    let (mut durable, _) = DurableDbAugur::open(&dir, cfg()).expect("open");
+    let sqls = ["SELECT a FROM bus WHERE id = 7", "UPDATE stats SET n = 5 WHERE id = 9"];
+    for m in 0..120u64 {
+        for k in 0..3 + (m % 10) {
+            durable.ingest_record(m * 60 + k, sqls[0]).expect("ingest");
+        }
+        for k in 0..2 + 7 * u64::from(m % 16 < 8) {
+            durable.ingest_record(m * 60 + 20 + k, sqls[1]).expect("ingest");
+        }
+    }
+    durable.system_mut().train(0, 120 * 60).expect("trains");
+    let history = cfg().history;
+    let serve = |sys: &DbAugur| -> Vec<u64> {
+        let clusters = (0..sys.clusters().len()).map(|i| sys.forecast_cluster(i));
+        let templates = sqls.iter().map(|q| sys.forecast_template(q));
+        clusters.chain(templates).map(|f| f.expect("covered").to_bits()).collect()
+    };
+    // Warm every cluster, then move the weights under the warm state.
+    let cold_fill = serve(durable.system());
+    for (i, c) in durable.system().clusters().iter().enumerate() {
+        c.observe(history, 9.0 + i as f64);
+        c.observe(history, 2.0);
+    }
+    let warm = serve(durable.system());
+    assert_ne!(warm, cold_fill, "feedback re-mixed the served values");
+
+    // The checkpoint of a warm store is the checkpoint of a cold one.
+    let bytes = durable.system_mut().encode_snapshot();
+    let mut cold = DbAugur::decode_snapshot(cfg(), &bytes).expect("decodes");
+    assert_eq!(cold.encode_snapshot(), bytes, "nothing of the serving state is on disk");
+    durable.checkpoint().expect("checkpoint");
+    assert_eq!(serve(durable.system()), warm);
+    drop(durable); // kill
+
+    let (reopened, _) = DurableDbAugur::open(&dir, cfg()).expect("reopen");
+    assert_eq!(serve(reopened.system()), warm, "a cold open serves what the warm store served");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A single-template pipeline with enough training budget that a
 /// lifecycle challenger can actually learn a shifted regime (the
 /// promotion path needs a winnable gate, unlike the pure-crash tests).

@@ -155,3 +155,36 @@ fn losing_challenger_is_rejected_and_incumbent_keeps_serving() {
     assert_eq!(mgr.registry().generations(0), 0, "rejected challengers are not archived");
     assert_eq!(mgr.events().last().expect("audited").kind, PromotionKind::Rejected);
 }
+
+#[test]
+fn promotion_then_rollback_each_move_the_served_value_past_a_warm_cache() {
+    let mut sys = trained_system(2);
+    shift_regime(&sys, 0);
+    let h = sys.config().history;
+    let sql = "SELECT * FROM t WHERE a = 7";
+    // What the installed model says about the current window, computed
+    // without the serving state.
+    let oracle = |sys: &DbAugur| {
+        let c = &sys.clusters()[0];
+        let rep = c.summary.representative.values();
+        c.predict_window(&rep[rep.len() - h..]).to_bits()
+    };
+    let served = |sys: &DbAugur| {
+        let cluster = sys.forecast_cluster(0).expect("cluster").to_bits();
+        (cluster, sys.forecast_template(sql).expect("covered").to_bits())
+    };
+
+    let incumbent = served(&sys);
+    assert_eq!(served(&sys), incumbent, "warm before the promotion");
+    let mut mgr = LifecycleManager::new(lenient());
+    let rep = mgr.tick(&mut sys, &Deadline::none());
+    assert_eq!(rep.promoted, vec![0], "challenger promoted: {rep:?}");
+    let promoted = served(&sys);
+    assert_eq!(promoted.0, oracle(&sys), "the tick that promotes serves the challenger");
+    assert_ne!(promoted, incumbent, "not the incumbent's cached answer");
+
+    mgr.rollback(&mut sys, 0).expect("predecessor archived");
+    let rolled_back = served(&sys);
+    assert_eq!(rolled_back.0, oracle(&sys), "the rollback serves the restored model at once");
+    assert_ne!(rolled_back, promoted, "not the challenger's cached answer");
+}
